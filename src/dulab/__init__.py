@@ -23,13 +23,13 @@ from .gates import (
     cartan_decompose,
     choi_output_state,
     defects,
-    dual_matrix,
     haar_gate,
     haar_unitary,
     kicked_ising_first_gate,
     kicked_ising_gate,
     nearest_dual_q2,
     project_dual_iterative,
+    reshuffle,
     swap_gate,
 )
 from .circuit import (

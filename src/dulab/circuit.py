@@ -15,14 +15,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .gates import Gate
 from .qinfo import (
-    Bipartition,
     DensityMatrix,
     PureState,
     apply_unitary,
@@ -31,7 +30,6 @@ from .qinfo import (
     entropy_vn,
     fidelity,
     kron_states,
-    mutual_information,
     permute_subsystems,
     purify,
     reduce,
@@ -49,7 +47,15 @@ class CapacityError(RuntimeError):
 
 def max_amplitudes() -> int:
     raw = os.environ.get(CAPACITY_ENV)
-    return int(raw) if raw else DEFAULT_MAX_AMPLITUDES
+    if not raw:
+        return DEFAULT_MAX_AMPLITUDES
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{CAPACITY_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_capacity(n_amplitudes: int) -> None:
@@ -230,14 +236,15 @@ class EntanglementRecord:
         diffs = np.diff(self.profiles, axis=0)
         return float(diffs.max()) if diffs.size else 0.0
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "bond", "entropy_nats", "light_cone_valid"])
-            for i, t in enumerate(self.times):
-                for b in range(self.L - 1):
-                    w.writerow([t, b, repr(float(self.profiles[i, b])),
-                                str(bool(self.light_cone_valid[i])).lower()])
+    def to_csv(self, stream) -> None:
+        """Write the record as CSV rows to a text stream (a file opened
+        with ``newline=""``): ``t,bond,entropy_nats,light_cone_valid``."""
+        w = csv.writer(stream)
+        w.writerow(["t", "bond", "entropy_nats", "light_cone_valid"])
+        for i, t in enumerate(self.times):
+            for b in range(self.L - 1):
+                w.writerow([t, b, repr(float(self.profiles[i, b])),
+                            str(bool(self.light_cone_valid[i])).lower()])
 
 
 def _apply_pair_gate(psi: np.ndarray, u: np.ndarray, site: int, dims: tuple) -> np.ndarray:
@@ -388,28 +395,15 @@ class FourPartyReport:
         return all(self.inequality_checks(slack).values())
 
     def to_json_dict(self) -> dict:
-        out = {
-            "delta_S": self.delta_S,
-            "epsilon": self.epsilon,
-            "cond_A": self.cond_A,
-            "cond_D": self.cond_D,
-            "S_B": self.S_B,
-            "S_Bp": self.S_Bp,
-            "S_C": self.S_C,
-            "S_Cp": self.S_Cp,
-            "S_BC": self.S_BC,
-            "I_AB_C": self.I_AB_C,
-            "I_B_CD": self.I_B_CD,
-            "I_A_Bp": self.I_A_Bp,
-            "I_Cp_D": self.I_Cp_D,
-            "F_out": self.F_out,
-            "F_in": self.F_in,
-            "F_BC": self.F_BC,
-            "bounds_vacuous": self.bounds_vacuous,
-            "checks": self.inequality_checks(),
-        }
-        if self.recon_distance is not None:
-            out["recon_distance"] = self.recon_distance
+        """The audited fields in declaration order (without ``q``), then
+        ``bounds_vacuous``, ``checks`` and, when set, ``recon_distance``."""
+        out = asdict(self)
+        del out["q"]
+        recon = out.pop("recon_distance")
+        out["bounds_vacuous"] = self.bounds_vacuous
+        out["checks"] = self.inequality_checks()
+        if recon is not None:
+            out["recon_distance"] = recon
         return out
 
 

@@ -1,9 +1,11 @@
 """Reproducible experiment runner.
 
-Every subcommand emits machine-readable JSON or CSV (UTF-8, "." decimals);
-``--assert`` additionally checks the experiment against its published
-tolerance and exits 1 on failure.  Usage errors exit 2 before any output
-file is touched; output files are written atomically once complete.
+Every subcommand emits machine-readable JSON or CSV (UTF-8, "." decimals).
+Its primary output (the JSON document, or the CSV for ``--format csv``) goes
+to stdout, or atomically to ``--out``, in which case stdout gets the JSON
+document.  ``--assert`` additionally checks the experiment against its
+published tolerance and exits 1 on failure.  Usage errors exit 2 before the
+output file is touched.
 Entropies in files are always nats; ``--bits`` adds a display-only bits
 rendering of summary lines.  The state-size budget can be overridden with
 the DULAB_MAX_AMPLITUDES environment variable.
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import circuit as ckt
 from . import ensemble, gates, mps
-from .qinfo import bell_state, kron_states
+from .qinfo import bell_state, kron_states, trace_norm
 
 SCHEMA_VERSION = "1"
 EIGHT_THIRDS_PI = 8.0 / (3.0 * math.pi)
@@ -68,42 +70,18 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write_atomic(out, text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-def _status(ok: bool | None) -> int:
-    if ok is None or ok:
-        return 0
-    return 1
-
-
-def _summarize(args, doc: dict) -> None:
-    if args.out:
-        line = f"{doc.get('experiment')}: " + (
-            "PASS" if doc.get("pass", True) else "FAIL"
-        )
-        print(line)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps args to (doc, ok, payload); ``payload`` is the CSV
+# text when that is the primary output, else None (the doc is)
 # ---------------------------------------------------------------------------
 
-def _cmd_zigzag(args, parser) -> int:
+def _cmd_zigzag(args):
     q, L, T = args.q, args.L, args.steps
     gate = None
     bond_gates = None
     if args.gate == "mix":
         if q != 2:
-            parser.error("--gate mix is defined for q = 2")
+            raise ValueError("--gate mix is defined for q = 2")
         kim = gates.kicked_ising_gate(args.J, args.b, args.h)
         swap = gates.swap_gate(2)
         bond_gates = {bnd: (swap if (bnd // 2) % 2 == 0 else kim) for bnd in range(L - 1)}
@@ -121,16 +99,6 @@ def _cmd_zigzag(args, parser) -> int:
     circ = ckt.BrickworkCircuit(L=L, q=q, gate=gate, first_parity=parity, bond_gates=bond_gates)
     rec = ckt.evolve(circ, initial, T)
 
-    buf = io.StringIO()
-    rec_path_written = False
-    if args.format == "csv":
-        w = csv.writer(buf)
-        w.writerow(["t", "bond", "entropy_nats", "light_cone_valid"])
-        for i, t in enumerate(rec.times):
-            for bnd in range(rec.L - 1):
-                w.writerow([t, bnd, repr(float(rec.profiles[i, bnd])),
-                            str(bool(rec.light_cone_valid[i])).lower()])
-        text = buf.getvalue()
     lnq = math.log(q)
     central = rec.central_series()
     even_ts = [t for t in rec.times if t and t % 2 == 0 and rec.light_cone_valid[t]]
@@ -141,9 +109,7 @@ def _cmd_zigzag(args, parser) -> int:
     for t in even_ts:
         worst = max(worst, abs((central[t] - central[0]) - t * lnq))
     ok = worst <= 1e-9
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "zigzag",
+    doc = {
         "params": {"q": q, "L": L, "steps": T, "gate": args.gate, "J": args.J,
                    "b": args.b, "h": args.h, "initial": args.initial,
                    "first_parity": parity},
@@ -157,23 +123,21 @@ def _cmd_zigzag(args, parser) -> int:
         "pass": bool(ok),
     }
     if args.bits:
-        summary["central_entropy_bits_display"] = [float(x / math.log(2)) for x in central]
-    if args.format == "json":
-        summary["record"] = [
-            {"t": int(t), "profile_nats": [float(x) for x in rec.profiles[i]],
-             "light_cone_valid": bool(rec.light_cone_valid[i])}
-            for i, t in enumerate(rec.times)
-        ]
-        text = _json_text(summary)
-    _emit(text, args.out)
-    if args.out:
-        print(_json_text(summary), end="")
-    if args.do_assert:
-        return _status(ok and summary["per_gate_bound_ok"])
-    return 0
+        doc["central_entropy_bits_display"] = [float(x / math.log(2)) for x in central]
+    ok = ok and doc["per_gate_bound_ok"]  # --assert also holds the per-gate bound
+    if args.format == "csv":
+        buf = io.StringIO()
+        rec.to_csv(buf)
+        return doc, ok, buf.getvalue()
+    doc["record"] = [
+        {"t": int(t), "profile_nats": [float(x) for x in rec.profiles[i]],
+         "light_cone_valid": bool(rec.light_cone_valid[i])}
+        for i, t in enumerate(rec.times)
+    ]
+    return doc, ok, None
 
 
-def _cmd_kicked_ising(args, parser) -> int:
+def _cmd_kicked_ising(args):
     L, T = args.L, args.steps
     u = gates.kicked_ising_gate(args.J, args.b, args.h)
     u0 = gates.kicked_ising_first_gate(args.J, args.h)
@@ -193,9 +157,8 @@ def _cmd_kicked_ising(args, parser) -> int:
     for t in range(zig_time + 2, T + 1, 2):
         if rec.light_cone_valid[t]:
             growth_ok &= abs((central[t] - central[t - 2]) - 2 * ln2) <= 1e-9
+    ok = bool(ok_zig and growth_ok)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "kicked-ising",
         "params": {"L": L, "steps": T, "class": args.klass, "J": args.J,
                    "b": args.b, "h": args.h},
         "zigzag_time": zig_time,
@@ -204,18 +167,14 @@ def _cmd_kicked_ising(args, parser) -> int:
         "central_entropy_nats": [float(x) for x in central],
         "growth_per_two_layers_ok": bool(growth_ok),
         "tolerance": 1e-9,
-        "pass": bool(ok_zig and growth_ok),
+        "pass": ok,
     }
     if args.bits:
         doc["central_entropy_bits_display"] = [float(x / ln2) for x in central]
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    if args.do_assert:
-        return _status(doc["pass"])
-    return 0
+    return doc, ok, None
 
 
-def _cmd_mps(args, parser) -> int:
+def _cmd_mps(args):
     if args.load:
         pair = mps.load_mps(args.load, validate_solvable=False)
     else:
@@ -236,8 +195,6 @@ def _cmd_mps(args, parser) -> int:
         and abs(pur3 - 1.0 / chi_q ** 2) <= tol
     )
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "mps",
         "params": {"q": pair.q, "chi": pair.chi, "cells": args.cells},
         "seed": args.seed,
         "solvability_defect": defect,
@@ -256,27 +213,7 @@ def _cmd_mps(args, parser) -> int:
     if args.bits:
         doc["E_AB_bits_display"] = e_ab / math.log(2)
         doc["E_BA_bits_display"] = e_ba / math.log(2)
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    if args.do_assert:
-        return _status(ok)
-    return 0
-
-
-def _ensemble_doc(args, experiment, stats, target, tolerance) -> dict:
-    ok = abs(stats.mean - target) <= tolerance
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
-        "params": {"q": args.q, "samples": args.samples},
-        "seed": stats.master_seed,
-        "n_samples": stats.n_samples,
-        "mean": stats.mean,
-        "standard_error": stats.standard_error,
-        "target": target,
-        "tolerance": tolerance,
-        "pass": bool(ok),
-    }
+    return doc, ok, None
 
 
 def _write_raw(path, values) -> None:
@@ -288,29 +225,35 @@ def _write_raw(path, values) -> None:
     _write_atomic(path, buf.getvalue())
 
 
-def _cmd_haar_fidelity(args, parser) -> int:
-    stats = ensemble.haar_choi_fidelity(args.q, args.samples, args.seed,
-                                        keep_values=bool(args.raw))
-    doc = _ensemble_doc(args, "haar-fidelity", stats, EIGHT_THIRDS_PI, args.tolerance)
+#: subcommand -> (sampler, default q, help); both means target 8/(3 pi)
+FIDELITY_EXPERIMENTS = {
+    "haar-fidelity": (ensemble.haar_choi_fidelity, 16,
+                      "mean operator-state fidelity to maximal mixing"),
+    "state-fidelity": (ensemble.haar_state_fidelity, 32,
+                       "mean single-qudit marginal fidelity for Haar states"),
+}
+
+
+def _cmd_fidelity(args):
+    sampler = FIDELITY_EXPERIMENTS[args.command][0]
+    stats = sampler(args.q, args.samples, args.seed, keep_values=bool(args.raw))
+    ok = abs(stats.mean - EIGHT_THIRDS_PI) <= args.tolerance
+    doc = {
+        "params": {"q": args.q, "samples": args.samples},
+        "seed": stats.master_seed,
+        "n_samples": stats.n_samples,
+        "mean": stats.mean,
+        "standard_error": stats.standard_error,
+        "target": EIGHT_THIRDS_PI,
+        "tolerance": args.tolerance,
+        "pass": bool(ok),
+    }
     if args.raw:
         _write_raw(args.raw, stats.values)
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    return _status(doc["pass"]) if args.do_assert else 0
+    return doc, ok, None
 
 
-def _cmd_state_fidelity(args, parser) -> int:
-    stats = ensemble.haar_state_fidelity(args.q, args.samples, args.seed,
-                                         keep_values=bool(args.raw))
-    doc = _ensemble_doc(args, "state-fidelity", stats, EIGHT_THIRDS_PI, args.tolerance)
-    if args.raw:
-        _write_raw(args.raw, stats.values)
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    return _status(doc["pass"]) if args.do_assert else 0
-
-
-def _cmd_catalan(args, parser) -> int:
+def _cmd_catalan(args):
     results = []
     overall = True
     rel_tol = {2: 0.02, 3: 0.05, 4: 0.10}
@@ -333,27 +276,21 @@ def _cmd_catalan(args, parser) -> int:
             "pass": bool(ok),
         })
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "catalan",
         "params": {"q": args.q, "samples": args.samples, "n": list(args.n)},
         "seed": args.seed,
         "moments": results,
         "pass": bool(overall),
     }
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    return _status(overall) if args.do_assert else 0
+    return doc, overall, None
 
 
-def _cmd_audit_gate(args, parser) -> int:
+def _cmd_audit_gate(args):
     g = load_gate(args.gate, args.q, args.J, args.b, args.h)
     rep = gates.defects(g)
     state = kron_states(bell_state(args.q), bell_state(args.q))
     audit = ckt.four_party_report(g, state, with_reconstruction=args.reconstruct)
     ok = audit.all_hold(slack=1e-9) and rep.relation_ok
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "audit-gate",
         "params": {"gate": args.gate, "q": args.q, "J": args.J, "b": args.b, "h": args.h},
         "gram_defect": rep.gram_defect,
         "choi_defect": rep.choi_defect,
@@ -363,23 +300,19 @@ def _cmd_audit_gate(args, parser) -> int:
         "report": audit.to_json_dict(),
         "pass": bool(ok),
     }
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    return _status(ok) if args.do_assert else 0
+    return doc, ok, None
 
 
-def _cmd_project_dual(args, parser) -> int:
+def _cmd_project_dual(args):
     if args.gate == "haar":
         if args.seed is None:
-            parser.error("--gate haar requires --seed")
+            raise ValueError("--gate haar requires --seed")
         g = gates.haar_gate(args.q, args.seed)
     else:
         g = load_gate(args.gate, args.q, args.J, args.b, args.h)
     res = gates.project_dual_iterative(g, max_iters=args.max_iters, tol=args.tol)
     final_defect = res.defect_trace[-1]
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "project-dual",
         "params": {"gate": args.gate, "q": args.q, "max_iters": args.max_iters,
                    "tol": args.tol},
         "seed": args.seed,
@@ -387,8 +320,7 @@ def _cmd_project_dual(args, parser) -> int:
         "iterations": res.iterations,
         "final_choi_defect": final_defect,
         "defect_trace": list(res.defect_trace),
-        "distance_to_input": float(np.linalg.svd(
-            g.matrix - res.gate.matrix, compute_uv=False).sum()),
+        "distance_to_input": trace_norm(g.matrix - res.gate.matrix),
     }
     ok = (not res.converged) or final_defect <= args.tol
     if args.q == 2:
@@ -397,19 +329,14 @@ def _cmd_project_dual(args, parser) -> int:
         doc["snap_defect"] = gates.choi_defect(ux)
         ok = ok and doc["snap_defect"] <= 1e-10
     doc["pass"] = bool(ok)
-    _emit(_json_text(doc), args.out)
-    _summarize(args, doc)
-    return _status(ok) if args.do_assert else 0
+    return doc, ok, None
 
 
-def _cmd_scan_eps_delta(args, parser) -> int:
+def _cmd_scan_eps_delta(args):
     base = load_gate(args.base, args.q, args.J, args.b, args.h)
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))
-    try:
-        points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
     slope, intercept = ensemble.loglog_slope(points)
     cert_ok = True
     for p in points:
@@ -424,18 +351,7 @@ def _cmd_scan_eps_delta(args, parser) -> int:
     nonzero = [p for p in points if p.theta > 0]
     shrink_ok = nonzero[0].delta <= nonzero[-1].delta
     ok = zero_ok and 0.4 <= slope <= 1.1 and cert_ok and shrink_ok
-    rows = [["theta", "epsilon", "delta", "delta_unnormalized", "dist_to_projection",
-             "certificate_bound"]]
-    for p in points:
-        d_un = p.delta * args.q ** 2
-        rows.append([
-            repr(p.theta), repr(p.epsilon), repr(p.delta), repr(d_un),
-            "" if p.dist_to_projection is None else repr(p.dist_to_projection),
-            repr(14 * math.sqrt(d_un)),
-        ])
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": "scan-eps-delta",
+    doc = {
         "params": {"base": args.base, "q": args.q, "theta_min": args.theta_min,
                    "theta_max": args.theta_max, "points": args.points},
         "seed": args.seed,
@@ -446,20 +362,25 @@ def _cmd_scan_eps_delta(args, parser) -> int:
         "certificate_ok": bool(cert_ok),
         "pass": bool(ok),
     }
-    if args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        _emit(buf.getvalue(), args.out)
-        if args.out:
-            print(_json_text(summary), end="")
-    else:
-        summary["points"] = [
+    if args.format == "json":
+        doc["points"] = [
             {"theta": p.theta, "epsilon": p.epsilon, "delta": p.delta,
              "dist_to_projection": p.dist_to_projection}
             for p in points
         ]
-        _emit(_json_text(summary), args.out)
-    return _status(ok) if args.do_assert else 0
+        return doc, ok, None
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["theta", "epsilon", "delta", "delta_unnormalized", "dist_to_projection",
+                "certificate_bound"])
+    for p in points:
+        d_un = p.delta * args.q ** 2
+        w.writerow([
+            repr(p.theta), repr(p.epsilon), repr(p.delta), repr(d_un),
+            "" if p.dist_to_projection is None else repr(p.dist_to_projection),
+            repr(14 * math.sqrt(d_un)),
+        ])
+    return doc, ok, buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed_required=True)
     p.set_defaults(func=_cmd_mps)
 
-    p = sub.add_parser("haar-fidelity", help="mean operator-state fidelity to maximal mixing")
-    p.add_argument("--q", type=int, default=16)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--raw", help="stream per-sample values to this CSV")
-    _add_common(p, seed_required=True)
-    p.set_defaults(func=_cmd_haar_fidelity)
-
-    p = sub.add_parser("state-fidelity", help="mean single-qudit marginal fidelity for Haar states")
-    p.add_argument("--q", type=int, default=32)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--tolerance", type=float, default=0.01)
-    p.add_argument("--raw", help="stream per-sample values to this CSV")
-    _add_common(p, seed_required=True)
-    p.set_defaults(func=_cmd_state_fidelity)
+    for name, (_, q, help_text) in FIDELITY_EXPERIMENTS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--q", type=int, default=q)
+        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--tolerance", type=float, default=0.01)
+        p.add_argument("--raw", help="stream per-sample values to this CSV")
+        _add_common(p, seed_required=True)
+        p.set_defaults(func=_cmd_fidelity)
 
     p = sub.add_parser("catalan", help="Haar purity moments against Catalan targets")
     p.add_argument("--q", type=int, default=16)
@@ -561,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, help="seed (required with --gate haar)")
     _add_gate_params(p)
-    p.add_argument("--out", help="output file (atomic write); stdout if omitted")
-    p.add_argument("--assert", dest="do_assert", action="store_true")
+    _add_common(p)
     p.set_defaults(func=_cmd_project_dual)
 
     p = sub.add_parser("scan-eps-delta", help="entanglement deficit vs dual defect along a perturbation")
@@ -582,10 +495,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        doc, ok, payload = args.func(args)
+        text = json.dumps({"schema_version": SCHEMA_VERSION, "experiment": args.command,
+                           **doc}, indent=2) + "\n"
+        if args.out:
+            _write_atomic(args.out, text if payload is None else payload)
     except (ValueError, OSError, ckt.CapacityError, mps.DegenerateTransferError) as exc:
         parser.error(str(exc))
-        return 2  # unreachable; parser.error raises SystemExit(2)
+    sys.stdout.write(text if args.out or payload is None else payload)
+    return 1 if args.do_assert and not ok else 0
 
 
 if __name__ == "__main__":

@@ -34,28 +34,26 @@ class EnsembleStats:
     master_seed: int
     values: tuple | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "mean": self.mean,
-            "standard_error": self.standard_error,
-            "seed": self.master_seed,
-        }
-
 
 def sample_rngs(master_seed: int, n: int):
     """One independent generator per sample, split from the master seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(master_seed).spawn(n)]
 
 
+def _check_ensemble(q: int, n_samples: int) -> None:
+    if q < 2:
+        raise ValueError(f"local dimension q must be >= 2, got {q}")
+    if n_samples < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n_samples}")
+
+
 def _stats(values: np.ndarray, master_seed: int, keep_values: bool) -> EnsembleStats:
     values = np.asarray(values, dtype=float)
     n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return EnsembleStats(
         n_samples=n,
         mean=float(values.mean()),
-        standard_error=se,
+        standard_error=float(values.std(ddof=1) / math.sqrt(n)),
         master_seed=master_seed,
         values=tuple(values) if keep_values else None,
     )
@@ -78,6 +76,7 @@ def haar_choi_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = Fa
     Uses the pure-vs-identity shortcut F(rho, I/d) = tr(sqrt(rho))/sqrt(d)
     (the general fidelity routine agrees; see the cross-check tests).
     """
+    _check_ensemble(q, n_samples)
     vals = np.empty(n_samples)
     for k, rng in enumerate(sample_rngs(seed, n_samples)):
         ev = _choi_eigs(haar_unitary(q * q, rng), q)
@@ -97,6 +96,7 @@ def haar_purity_moments(
     The stream depends only on (seed, sample index), so each entry equals
     the corresponding single-n experiment run with the same seed.
     """
+    _check_ensemble(q, n_samples)
     ns = tuple(int(n) for n in ns)
     for n in ns:
         if n not in (2, 3, 4):
@@ -123,6 +123,7 @@ def purity_moment_target(q: int, n: int) -> float:
 
 def haar_state_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = False) -> EnsembleStats:
     """Mean F(rho_A, I/q) over Haar two-qudit pure states."""
+    _check_ensemble(q, n_samples)
     vals = np.empty(n_samples)
     for k, rng in enumerate(sample_rngs(seed, n_samples)):
         v = rng.standard_normal(q * q) + 1j * rng.standard_normal(q * q)

@@ -172,14 +172,9 @@ def haar_gate(q: int, seed) -> Gate:
 # reshuffling and defects
 # ---------------------------------------------------------------------------
 
-def dual_matrix(g: Gate) -> np.ndarray:
-    """The sideways regrouping M[(i,k),(j,l)] = u_{ij,kl}; an involution."""
-    q = g.q
-    return g.matrix.reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(q * q, q * q).copy()
-
-
 def reshuffle(matrix: np.ndarray, q: int) -> np.ndarray:
-    """The same index regrouping on a bare matrix (needed to invert it)."""
+    """The sideways regrouping M[(i,k),(j,l)] = u_{ij,kl} of a q^2 x q^2
+    matrix; an involution, so it also maps M back to u."""
     return np.asarray(matrix).reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(q * q, q * q)
 
 
@@ -193,7 +188,7 @@ def choi_output_state(g: Gate) -> DensityMatrix:
 
 
 def gram_defect(g: Gate) -> float:
-    m = dual_matrix(g)
+    m = reshuffle(g.matrix, g.q)
     return float(np.abs(np.linalg.eigvalsh(m @ m.conj().T - np.eye(g.q ** 2))).sum())
 
 
@@ -207,10 +202,6 @@ def defects(g: Gate) -> DefectReport:
     gd = gram_defect(g)
     cd = choi_defect(g)
     return DefectReport(gram_defect=gd, choi_defect=cd, relation_ok=abs(cd * g.q ** 2 - gd) <= 1e-9)
-
-
-def is_dual_unitary(g: Gate, tol: float = DUAL_TOL) -> bool:
-    return choi_defect(g) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +505,10 @@ def read_gate_file(path) -> Gate:
         for c, token in enumerate(parts):
             try:
                 re_s, im_s = token.split(",")
-                m[r, c] = complex(float(re_s), float(im_s))
+                z = complex(float(re_s), float(im_s))
             except ValueError:
                 raise ValueError(f"{path}:{r + 2}: bad entry {token!r} (want re,im)") from None
+            if not cmath.isfinite(z):
+                raise ValueError(f"{path}:{r + 2}: non-finite entry {token!r}")
+            m[r, c] = z
     return Gate(q, m)

@@ -158,7 +158,8 @@ class TestEvolve:
         circ = BrickworkCircuit(L=4, q=2, gate=swap_gate(2))
         rec = evolve(circ, dimer_state(4, 2), 1)
         path = tmp_path / "rec.csv"
-        rec.to_csv(path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            rec.to_csv(fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,bond,entropy_nats,light_cone_valid"
         assert len(lines) == 1 + 2 * 3

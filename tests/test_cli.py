@@ -1,5 +1,8 @@
 import json
 import math
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,13 @@ from dulab.gates import haar_gate, write_gate_file
 
 def run(argv):
     return main(argv)
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN/Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestUsageErrors:
@@ -40,6 +50,71 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             run(["audit-gate", "--gate", str(bad), "--q", "2"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["haar-fidelity", "--q", "4", "--samples", "0"], "at least 2 samples, got 0"),
+        (["state-fidelity", "--q", "4", "--samples", "1"], "at least 2 samples, got 1"),
+        (["catalan", "--q", "1", "--samples", "10"], "q must be >= 2, got 1"),
+    ])
+    def test_ensemble_size_below_two_exits_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--seed", "1", "--out", str(out)])
+        assert e.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["nan,0.0", "0.0,-inf"])
+    def test_non_finite_gate_entry_exits_2(self, entry, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        write_gate_file(haar_gate(2, 3), path)
+        lines = path.read_text().splitlines()
+        lines[2] = " ".join([entry] + lines[2].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as e:
+            run(["audit-gate", "--gate", str(path), "--q", "2"])
+        assert e.value.code == 2
+        assert f":3: non-finite entry {entry!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-4", "many"])
+    def test_amplitude_budget_below_one_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("DULAB_MAX_AMPLITUDES", value)
+        with pytest.raises(SystemExit) as e:
+            run(["zigzag", "--q", "2", "--L", "8", "--steps", "2"])
+        assert e.value.code == 2
+        assert "DULAB_MAX_AMPLITUDES must be a positive integer" in capsys.readouterr().err
+
+
+#: one small run per subcommand; haar-fidelity at q = 2 misses its target
+RUNNER_CASES = {
+    "zigzag": ["--q", "2", "--L", "8", "--steps", "2", "--gate", "swap"],
+    "kicked-ising": ["--class", "T", "--L", "12", "--steps", "5", "--h", "0.3"],
+    "mps": ["--q", "2", "--chi", "2", "--seed", "5"],
+    "haar-fidelity": ["--q", "2", "--samples", "40", "--seed", "3"],
+    "state-fidelity": ["--q", "16", "--samples", "200", "--seed", "5", "--tolerance", "0.02"],
+    "catalan": ["--q", "8", "--samples", "200", "--seed", "11"],
+    "audit-gate": ["--gate", "cz", "--q", "2"],
+    "project-dual": ["--gate", "swap", "--q", "2"],
+    "scan-eps-delta": ["--base", "swap", "--q", "2", "--seed", "8", "--points", "7"],
+}
+
+
+@pytest.mark.parametrize("command", list(RUNNER_CASES))
+def test_runner_contract(command, tmp_path, capsys):
+    argv = [command, *RUNNER_CASES[command], "--assert"]
+    code = run(argv)
+    primary = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    summary = capsys.readouterr().out
+    # the file holds exactly what stdout gets without --out
+    assert out.read_bytes() == primary.encode("utf-8")
+    # with --out, stdout is the JSON document, whatever the file format
+    doc = strict_json(summary)
+    assert list(doc)[:2] == ["schema_version", "experiment"]
+    assert doc["experiment"] == command
+    ok = doc["pass"] and (command != "zigzag" or doc["per_gate_bound_ok"])
+    assert code == (0 if ok else 1)
 
 
 class TestAuditGate:
@@ -219,13 +294,13 @@ class TestScanEpsDelta:
 
 class TestConsoleEntrypoint:
     def test_installed_script(self):
-        import shutil
-        import subprocess
-
         exe = shutil.which("dulab")
-        if exe is None:
-            pytest.skip("console script not on PATH")
-        res = subprocess.run([exe, "audit-gate", "--gate", "swap", "--q", "2"],
+        cmd = [exe] if exe else [sys.executable, "-m", "dulab.cli"]
+        res = subprocess.run(cmd + ["audit-gate", "--gate", "swap", "--q", "2"],
                              capture_output=True, text=True)
         assert res.returncode == 0
         assert json.loads(res.stdout)["is_dual"] is True
+        res = subprocess.run(cmd + ["audit-gate", "--gate", "nonsense", "--q", "2"],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert "nonsense" in res.stderr

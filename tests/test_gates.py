@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dulab import gates
 from dulab.gates import (
     CartanData,
     Gate,
@@ -12,7 +11,6 @@ from dulab.gates import (
     choi_output_state,
     cz_gate,
     defects,
-    dual_matrix,
     fourier_gate,
     haar_gate,
     haar_unitary,
@@ -23,6 +21,7 @@ from dulab.gates import (
     nearest_dual_q2,
     project_dual_iterative,
     read_gate_file,
+    reshuffle,
     swap_gate,
     write_gate_file,
 )
@@ -39,19 +38,19 @@ def random_hermitian_unit(d, rng):
 
 class TestDualMatrix:
     def test_swap_reshuffles_to_permutation(self):
-        m = dual_matrix(swap_gate(2))
+        m = reshuffle(swap_gate(2).matrix, 2)
         assert np.allclose(np.abs(m) * (np.abs(m) > 0.5), np.abs(m))
         assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
 
     def test_identity_reshuffles_to_rank_q(self):
-        m = dual_matrix(identity_gate(2))
+        m = reshuffle(identity_gate(2).matrix, 2)
         assert np.linalg.matrix_rank(m) == 1
         assert np.count_nonzero(m) == 4
 
     def test_involution_exact(self, rng):
         for q in (2, 3):
             g = haar_gate(q, rng)
-            m = gates.reshuffle(dual_matrix(g), q)
+            m = reshuffle(reshuffle(g.matrix, q), q)
             assert np.array_equal(m, g.matrix)
 
 
@@ -84,13 +83,13 @@ class TestDefects:
         duals = [swap_gate(2), fourier_gate(2), fourier_gate(3),
                  kicked_ising_gate(QUARTER, QUARTER, 0.7)]
         for g in duals:
-            m = dual_matrix(g)
+            m = reshuffle(g.matrix, g.q)
             assert trace_norm(m @ m.conj().T - np.eye(g.q ** 2)) <= 1e-10
             assert defects(g).gram_defect <= 1e-10
         for _ in range(100):
             h = random_hermitian_unit(4, rng)
             g = Gate(2, swap_gate(2).matrix @ scipy.linalg.expm(-1j * 0.2 * h))
-            m = dual_matrix(g)
+            m = reshuffle(g.matrix, g.q)
             unitar = trace_norm(m @ m.conj().T - np.eye(4))
             rep = defects(g)
             assert (rep.gram_defect <= 1e-10) == (unitar <= 1e-10)
@@ -113,7 +112,7 @@ class TestChoiOutputState:
 
     def test_swapped_factors_equal_gram_over_q2(self, rng):
         g = haar_gate(2, rng)
-        m = dual_matrix(g)
+        m = reshuffle(g.matrix, g.q)
         from dulab.qinfo import permute_subsystems
 
         rho = permute_subsystems(choi_output_state(g), (1, 0))
