@@ -33,6 +33,7 @@ from .qinfo import (
     permute_subsystems,
     purify,
     reduce,
+    schmidt_probs,
     trace_norm_distance,
     uhlmann_align,
 )
@@ -255,18 +256,15 @@ def _apply_pair_gate(psi: np.ndarray, u: np.ndarray, site: int, dims: tuple) -> 
     return np.einsum("pq,lqr->lpr", u, t).reshape(-1)
 
 
+def cut_probs(state: PureState, bond: int) -> np.ndarray:
+    """Schmidt weights between sites [0..bond] and the rest of the chain."""
+    return schmidt_probs(state.amplitudes, int(np.prod(state.dims[: bond + 1])))
+
+
 def bond_entropies(state: PureState) -> np.ndarray:
-    """Entropy of the left segment [0..b] for every cut b, via singular
-    values of the amplitude matrix reshaped at the cut."""
-    dims = state.dims
-    n = len(dims)
-    out = np.empty(n - 1)
-    for b in range(n - 1):
-        dl = int(np.prod(dims[: b + 1]))
-        m = state.amplitudes.reshape(dl, -1)
-        sv = np.linalg.svd(m, compute_uv=False)
-        out[b] = entropy_from_probs(sv ** 2)
-    return out
+    """Entropy of the left segment [0..b] for every cut b."""
+    return np.array([entropy_from_probs(cut_probs(state, b))
+                     for b in range(state.n_subsystems - 1)])
 
 
 def evolve(circuit: BrickworkCircuit, initial: PureState, T: int) -> EntanglementRecord:
@@ -288,7 +286,9 @@ def evolve(circuit: BrickworkCircuit, initial: PureState, T: int) -> Entanglemen
         for bond in circuit.layer_bonds(t):
             u = circuit.gate_for(t, bond)
             psi = _apply_pair_gate(psi, u.matrix, bond, dims)
-        profiles.append(bond_entropies(PureState(psi, dims)))
+        state = PureState(psi, dims)
+        psi = state.amplitudes  # one copy of the state alive during the sweep
+        profiles.append(bond_entropies(state))
         valid.append(2 * t + 2 <= circuit.L)
     return EntanglementRecord(
         times=tuple(range(T + 1)),

@@ -387,6 +387,25 @@ def _cmd_scan_eps_delta(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float, so no NaN or infinity reaches a run."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    x = _finite(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return x
+
+
 def _add_common(p, seed_required=False, fmt=None):
     p.add_argument("--out", help="output file (atomic write); stdout if omitted")
     p.add_argument("--assert", dest="do_assert", action="store_true",
@@ -399,9 +418,9 @@ def _add_common(p, seed_required=False, fmt=None):
 
 
 def _add_gate_params(p):
-    p.add_argument("--J", type=float, default=math.pi / 4)
-    p.add_argument("--b", type=float, default=math.pi / 4)
-    p.add_argument("--h", type=float, default=0.0)
+    p.add_argument("--J", type=_finite, default=math.pi / 4)
+    p.add_argument("--b", type=_finite, default=math.pi / 4)
+    p.add_argument("--h", type=_finite, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--q", type=int, default=q)
         p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--tolerance", type=float, default=0.01)
+        p.add_argument("--tolerance", type=_finite, default=0.01)
         p.add_argument("--raw", help="stream per-sample values to this CSV")
         _add_common(p, seed_required=True)
         p.set_defaults(func=_cmd_fidelity)
@@ -472,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", default="haar", help="haar | named gate | file path")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--seed", type=int, help="seed (required with --gate haar)")
     _add_gate_params(p)
     _add_common(p)
@@ -481,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-eps-delta", help="entanglement deficit vs dual defect along a perturbation")
     p.add_argument("--base", default="swap", help="dual base gate (swap | fourier | kicked-ising | file)")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--theta-min", type=float, default=1e-3)
-    p.add_argument("--theta-max", type=float, default=1e-1)
+    p.add_argument("--theta-min", type=_positive, default=1e-3)
+    p.add_argument("--theta-max", type=_positive, default=1e-1)
     p.add_argument("--points", type=int, default=9)
     _add_gate_params(p)
     _add_common(p, seed_required=True, fmt="csv")
@@ -497,7 +516,7 @@ def main(argv=None) -> int:
     try:
         doc, ok, payload = args.func(args)
         text = json.dumps({"schema_version": SCHEMA_VERSION, "experiment": args.command,
-                           **doc}, indent=2) + "\n"
+                           **doc}, indent=2, allow_nan=False) + "\n"
         if args.out:
             _write_atomic(args.out, text if payload is None else payload)
     except (ValueError, OSError, ckt.CapacityError, mps.DegenerateTransferError) as exc:

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .circuit import four_party_report
-from .gates import Gate, choi_defect, haar_unitary, nearest_dual_q2
-from .qinfo import bell_state, kron_states
+from .gates import Gate, choi_defect, choi_vector, haar_unitary, nearest_dual_q2
+from .qinfo import bell_state, kron_states, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
 NOISE_FLOOR = 1e-12
@@ -59,17 +59,6 @@ def _stats(values: np.ndarray, master_seed: int, keep_values: bool) -> EnsembleS
     )
 
 
-def _choi_eigs(u: np.ndarray, q: int) -> np.ndarray:
-    """Eigenvalues of the 4-qudit output state for a raw unitary.
-
-    In-loop fast path: numerically identical to
-    ``choi_output_state(Gate(q, u)).eigenvalues()`` without the wrapper
-    validation cost (equality is unit-tested).
-    """
-    t = u.reshape(q, q, q, q).transpose(2, 0, 1, 3).reshape(q * q, q * q) / q
-    return np.clip(np.linalg.eigvalsh(t @ t.conj().T), 0.0, None)
-
-
 def haar_choi_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = False) -> EnsembleStats:
     """Mean F(rho_AB', I/q^2) over Haar gates.
 
@@ -79,7 +68,7 @@ def haar_choi_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = Fa
     _check_ensemble(q, n_samples)
     vals = np.empty(n_samples)
     for k, rng in enumerate(sample_rngs(seed, n_samples)):
-        ev = _choi_eigs(haar_unitary(q * q, rng), q)
+        ev = schmidt_probs(choi_vector(haar_unitary(q * q, rng), q), q * q)
         vals[k] = np.sqrt(ev).sum() / q
     return _stats(vals, seed, keep_values)
 
@@ -103,7 +92,7 @@ def haar_purity_moments(
             raise ValueError(f"moment order must be 2, 3 or 4, got {n}")
     vals = {n: np.empty(n_samples) for n in ns}
     for k, rng in enumerate(sample_rngs(seed, n_samples)):
-        ev = _choi_eigs(haar_unitary(q * q, rng), q)
+        ev = schmidt_probs(choi_vector(haar_unitary(q * q, rng), q), q * q)
         for n in ns:
             vals[n][k] = (ev ** n).sum()
     return {n: _stats(vals[n], seed, keep_values) for n in ns}
@@ -128,8 +117,7 @@ def haar_state_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = F
     for k, rng in enumerate(sample_rngs(seed, n_samples)):
         v = rng.standard_normal(q * q) + 1j * rng.standard_normal(q * q)
         v /= np.linalg.norm(v)
-        sv = np.linalg.svd(v.reshape(q, q), compute_uv=False)
-        vals[k] = sv.sum() / math.sqrt(q)
+        vals[k] = np.sqrt(schmidt_probs(v, q)).sum() / math.sqrt(q)
     return _stats(vals, seed, keep_values)
 
 

@@ -178,12 +178,16 @@ def reshuffle(matrix: np.ndarray, q: int) -> np.ndarray:
     return np.asarray(matrix).reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(q * q, q * q)
 
 
+def choi_vector(matrix: np.ndarray, q: int) -> np.ndarray:
+    """The 4-qudit model's pure output (two Bell pairs conjugated by the
+    q^2 x q^2 matrix) as a flat vector on axes (A, B', C', D)."""
+    return (np.asarray(matrix).reshape(q, q, q, q).transpose(2, 0, 1, 3) / q).reshape(-1)
+
+
 def choi_output_state(g: Gate) -> DensityMatrix:
-    """Output of the 4-qudit model: two Bell pairs conjugated by the gate,
-    reduced to (A, B') = (input-left, output-left)."""
-    q = g.q
-    psi = g.matrix.reshape(q, q, q, q).transpose(2, 0, 1, 3) / q  # axes (A, B', C', D)
-    state = PureState(psi.reshape(-1), (q, q, q, q))
+    """Output of the 4-qudit model reduced to (A, B') = (input-left,
+    output-left)."""
+    state = PureState(choi_vector(g.matrix, g.q), (g.q,) * 4)
     return reduce(state, {0, 1})
 
 
@@ -292,8 +296,7 @@ def _diag_symmetric_unitary(s: np.ndarray):
 def _kron_factor_2x2(l4: np.ndarray):
     """Split a (scalar times) kron product of 2x2 unitaries into
     (a, b, c) with det a = det b = 1, |c| = 1 and l4 = c * kron(a, b)."""
-    r = l4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u, s, vh = np.linalg.svd(r)
+    u, s, vh = np.linalg.svd(reshuffle(l4, 2))
     a = (u[:, 0] * math.sqrt(s[0])).reshape(2, 2)
     b = (vh[0, :] * math.sqrt(s[0])).reshape(2, 2)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_capacity, bond_entropies
+from .circuit import _check_capacity, cut_probs
 from .gates import haar_unitary
-from .qinfo import PureState
+from .qinfo import PureState, entropy_from_probs
 
 SOLVABLE_TOL = 1e-10
 #: transfer gap below this flags a (near-)degenerate fixed point
@@ -169,6 +169,14 @@ def _require_solvable(pair: MPSPair) -> None:
         )
 
 
+def _middle_cell(pair: MPSPair, n_cells: int) -> tuple[PureState, int]:
+    """The environment realization of a solvable pair and the bond of the
+    A:B cut in its middle cell (the B:A cut is the next bond)."""
+    _require_solvable(pair)
+    # bonds: 0 = env|A-cell...; cut inside cell k (A:B) is bond 2k + 1
+    return dense_state_with_environment(pair, n_cells), 2 * (n_cells // 2) + 1
+
+
 def cut_entropies_exact(pair: MPSPair, n_cells: int = 3) -> tuple[float, float]:
     """Interior cut entropies (E_AB, E_BA) of the infinite chain.
 
@@ -177,29 +185,16 @@ def cut_entropies_exact(pair: MPSPair, n_cells: int = 3) -> tuple[float, float]:
     exactly zero (far below the 1e-9 budget); the transfer gap is still
     checked so a degenerate fixed point is flagged rather than assumed away.
     """
-    _require_solvable(pair)
-    psi = dense_state_with_environment(pair, n_cells)
-    prof = bond_entropies(psi)
-    mid = n_cells // 2
-    # bonds: 0 = env|A-cell...; cut inside cell k (A:B) is bond 2k + 1,
-    # cut between cells (B:A) is bond 2k + 2
-    e_ab = float(prof[2 * mid + 1])
-    e_ba = float(prof[2 * mid + 2])
-    return e_ab, e_ba
+    psi, ab = _middle_cell(pair, n_cells)
+    return entropy_from_probs(cut_probs(psi, ab)), entropy_from_probs(cut_probs(psi, ab + 1))
 
 
 def replica_purity(pair: MPSPair, n: int, n_cells: int = 3) -> float:
     """tr(rho_Q^n) at an interior A:B cut of the infinite chain."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_solvable(pair)
-    psi = dense_state_with_environment(pair, n_cells)
-    mid = n_cells // 2
-    cut = 2 * mid + 1
-    dl = int(np.prod(psi.dims[: cut + 1]))
-    m = psi.amplitudes.reshape(dl, -1)
-    p = np.linalg.svd(m, compute_uv=False) ** 2
-    return float((p ** n).sum())
+    psi, ab = _middle_cell(pair, n_cells)
+    return float((cut_probs(psi, ab) ** n).sum())
 
 
 # ---------------------------------------------------------------------------

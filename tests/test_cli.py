@@ -64,6 +64,47 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["haar-fidelity", "--q", "2", "--samples", "2", "--seed", "1", "--tolerance", "nan"],
+         "argument --tolerance: must be finite, got 'nan'"),
+        (["project-dual", "--seed", "1", "--tol", "nan"],
+         "argument --tol: must be finite, got 'nan'"),
+        (["scan-eps-delta", "--seed", "1", "--theta-min", "0"],
+         "argument --theta-min: must be > 0, got '0'"),
+        (["scan-eps-delta", "--seed", "1", "--theta-max", "inf"],
+         "argument --theta-max: must be finite, got 'inf'"),
+        (["scan-eps-delta", "--seed", "1", "--J", "nan"],
+         "argument --J: must be finite, got 'nan'"),
+        (["zigzag", "--gate", "kicked-ising", "--b=-inf"],
+         "argument --b: must be finite, got '-inf'"),
+        (["kicked-ising", "--class", "T", "--h", "x"],
+         "argument --h: expected a number, got 'x'"),
+    ])
+    def test_bad_float_flag_exits_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--out", str(out)])
+        assert e.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_result_exits_2(self, monkeypatch, tmp_path, capsys):
+        # a NaN that gets past the flags still never leaves with exit 0
+        from dulab import cli
+        from dulab.ensemble import EnsembleStats
+
+        def sampler(q, n, seed, keep_values=False):
+            return EnsembleStats(n, math.nan, math.nan, seed)
+
+        monkeypatch.setitem(cli.FIDELITY_EXPERIMENTS, "haar-fidelity",
+                            (sampler, 16, "stub"))
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(["haar-fidelity", "--seed", "1", "--out", str(out)])
+        assert e.value.code == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", ["nan,0.0", "0.0,-inf"])
     def test_non_finite_gate_entry_exits_2(self, entry, tmp_path, capsys):
         path = tmp_path / "g.txt"

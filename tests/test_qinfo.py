@@ -18,6 +18,7 @@ from dulab.qinfo import (
     reduce,
     relative_entropy,
     sandwiched_renyi,
+    schmidt_probs,
     trace_distance,
     trace_norm_distance,
     uhlmann_align,
@@ -111,6 +112,41 @@ class TestEntropy:
         rb = random_density((3,), rank=3, seed=22)
         rho = DensityMatrix(np.kron(ra.matrix, rb.matrix), (2, 3))
         assert entropy_vn(rho) == pytest.approx(entropy_vn(ra) + entropy_vn(rb), abs=1e-9)
+
+
+class TestSchmidtProbs:
+    """The Gram-matrix spectrum against an SVD oracle."""
+
+    @staticmethod
+    def svd_oracle(v, dl):
+        return np.sort(np.linalg.svd(v.reshape(dl, -1), compute_uv=False) ** 2)
+
+    @pytest.mark.parametrize("dims, dl", [
+        ((2,) * 6, 2), ((2,) * 6, 4),      # wide: dl below sqrt(size)
+        ((2,) * 6, 8),                     # square
+        ((2,) * 6, 16), ((2,) * 6, 32),    # tall: dl above sqrt(size)
+        ((3, 3, 3), 3), ((3, 3, 3), 9),    # q = 3
+    ])
+    def test_matches_svd_oracle(self, dims, dl):
+        v = random_pure(dims, seed=sum(dims) + dl).amplitudes
+        p = schmidt_probs(v, dl)
+        assert p.shape == (min(dl, v.size // dl),)
+        assert np.all(p >= 0.0)
+        assert np.allclose(p, self.svd_oracle(v, dl), rtol=0, atol=1e-14)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dl", [2, 8, 32])
+    def test_rank_one_product(self, dl):
+        psi = kron_states(*(random_pure((2,), seed=s) for s in range(6)))
+        p = schmidt_probs(psi.amplitudes, dl)
+        assert p[-1] == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(p[:-1], 0.0, rtol=0, atol=1e-14)
+        assert np.allclose(p, self.svd_oracle(psi.amplitudes, dl), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_bell_pair_is_flat(self, q):
+        p = schmidt_probs(bell_state(q).amplitudes, q)
+        assert np.allclose(p, 1.0 / q, rtol=0, atol=1e-15)
 
 
 class TestMutualAndConditional:
