@@ -51,7 +51,6 @@ from .ensemble import (
     EpsDeltaPoint,
     eps_delta_scan,
     haar_choi_fidelity,
-    haar_purity_moment,
     haar_state_fidelity,
 )
 

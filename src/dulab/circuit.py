@@ -157,8 +157,7 @@ class BrickworkCircuit:
     """Brickwork circuit on L sites of dimension q.
 
     Gate resolution order for layer t, bond b:
-    ``first_layer_override`` (t = 1) > ``layer_gates[(t, parity)]`` >
-    ``bond_gates[b]`` > ``gate``.
+    ``first_layer_override`` (t = 1) > ``bond_gates[b]`` > ``gate``.
     """
 
     L: int
@@ -167,7 +166,6 @@ class BrickworkCircuit:
     first_parity: str = "even"
     first_layer_override: Gate | None = None
     bond_gates: Mapping[int, Gate] | None = None
-    layer_gates: Mapping[tuple, Gate] | None = None
 
     def __post_init__(self):
         if self.L < 4 or self.L % 2:
@@ -184,8 +182,6 @@ class BrickworkCircuit:
             yield self.first_layer_override
         for g in (self.bond_gates or {}).values():
             yield g
-        for g in (self.layer_gates or {}).values():
-            yield g
 
     def layer_parity(self, t: int) -> str:
         first = self.first_parity
@@ -199,10 +195,6 @@ class BrickworkCircuit:
     def gate_for(self, t: int, bond: int) -> Gate:
         if t == 1 and self.first_layer_override is not None:
             return self.first_layer_override
-        if self.layer_gates:
-            g = self.layer_gates.get((t, self.layer_parity(t)))
-            if g is not None:
-                return g
         if self.bond_gates:
             g = self.bond_gates.get(bond)
             if g is not None:

@@ -57,22 +57,35 @@ def load_gate(name_or_path: str, q: int, J: float, b: float, h: float) -> gates.
         f"unknown gate {name_or_path!r} (named gates: {', '.join(NAMED_GATES)})")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".dulab-")
+def _write_atomic(files: dict) -> None:
+    """Write each {path: text} entry through a temp file in the target's
+    directory.  Every temp file is written before any is renamed into place,
+    so a failure leaves none of the paths touched; files get the
+    0o666 & ~umask mode that a plain open would give them."""
+    umask = os.umask(0)
+    os.umask(umask)
+    tmps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".dulab-")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+        for tmp, path in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each maps args to (doc, ok, payload); ``payload`` is the CSV
-# text when that is the primary output, else None (the doc is)
+# subcommands: each maps args to (doc, ok, payload, extra); ``payload`` is
+# the CSV text when that is the primary output, else None (the doc is), and
+# ``extra`` maps the path of each secondary output file to its text
 # ---------------------------------------------------------------------------
 
 def _cmd_zigzag(args):
@@ -128,13 +141,13 @@ def _cmd_zigzag(args):
     if args.format == "csv":
         buf = io.StringIO()
         rec.to_csv(buf)
-        return doc, ok, buf.getvalue()
+        return doc, ok, buf.getvalue(), {}
     doc["record"] = [
         {"t": int(t), "profile_nats": [float(x) for x in rec.profiles[i]],
          "light_cone_valid": bool(rec.light_cone_valid[i])}
         for i, t in enumerate(rec.times)
     ]
-    return doc, ok, None
+    return doc, ok, None, {}
 
 
 def _cmd_kicked_ising(args):
@@ -171,7 +184,7 @@ def _cmd_kicked_ising(args):
     }
     if args.bits:
         doc["central_entropy_bits_display"] = [float(x / ln2) for x in central]
-    return doc, ok, None
+    return doc, ok, None, {}
 
 
 def _cmd_mps(args):
@@ -213,16 +226,16 @@ def _cmd_mps(args):
     if args.bits:
         doc["E_AB_bits_display"] = e_ab / math.log(2)
         doc["E_BA_bits_display"] = e_ba / math.log(2)
-    return doc, ok, None
+    return doc, ok, None, {}
 
 
-def _write_raw(path, values) -> None:
+def _raw_csv(values) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["index", "value"])
     for i, v in enumerate(values):
         w.writerow([i, repr(float(v))])
-    _write_atomic(path, buf.getvalue())
+    return buf.getvalue()
 
 
 #: subcommand -> (sampler, default q, help); both means target 8/(3 pi)
@@ -236,7 +249,7 @@ FIDELITY_EXPERIMENTS = {
 
 def _cmd_fidelity(args):
     sampler = FIDELITY_EXPERIMENTS[args.command][0]
-    stats = sampler(args.q, args.samples, args.seed, keep_values=bool(args.raw))
+    stats = sampler(args.q, args.samples, args.seed)
     ok = abs(stats.mean - EIGHT_THIRDS_PI) <= args.tolerance
     doc = {
         "params": {"q": args.q, "samples": args.samples},
@@ -248,9 +261,8 @@ def _cmd_fidelity(args):
         "tolerance": args.tolerance,
         "pass": bool(ok),
     }
-    if args.raw:
-        _write_raw(args.raw, stats.values)
-    return doc, ok, None
+    raw = {args.raw: _raw_csv(stats.values)} if args.raw else {}
+    return doc, ok, None, raw
 
 
 def _cmd_catalan(args):
@@ -281,7 +293,7 @@ def _cmd_catalan(args):
         "moments": results,
         "pass": bool(overall),
     }
-    return doc, overall, None
+    return doc, overall, None, {}
 
 
 def _cmd_audit_gate(args):
@@ -300,7 +312,7 @@ def _cmd_audit_gate(args):
         "report": audit.to_json_dict(),
         "pass": bool(ok),
     }
-    return doc, ok, None
+    return doc, ok, None, {}
 
 
 def _cmd_project_dual(args):
@@ -329,7 +341,7 @@ def _cmd_project_dual(args):
         doc["snap_defect"] = gates.choi_defect(ux)
         ok = ok and doc["snap_defect"] <= 1e-10
     doc["pass"] = bool(ok)
-    return doc, ok, None
+    return doc, ok, None, {}
 
 
 def _cmd_scan_eps_delta(args):
@@ -368,7 +380,7 @@ def _cmd_scan_eps_delta(args):
              "dist_to_projection": p.dist_to_projection}
             for p in points
         ]
-        return doc, ok, None
+        return doc, ok, None, {}
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["theta", "epsilon", "delta", "delta_unnormalized", "dist_to_projection",
@@ -380,7 +392,7 @@ def _cmd_scan_eps_delta(args):
             "" if p.dist_to_projection is None else repr(p.dist_to_projection),
             repr(14 * math.sqrt(d_un)),
         ])
-    return doc, ok, buf.getvalue()
+    return doc, ok, buf.getvalue(), {}
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +526,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, ok, payload = args.func(args)
+        doc, ok, payload, files = args.func(args)
         text = json.dumps({"schema_version": SCHEMA_VERSION, "experiment": args.command,
                            **doc}, indent=2, allow_nan=False) + "\n"
         if args.out:
-            _write_atomic(args.out, text if payload is None else payload)
+            files[args.out] = text if payload is None else payload
+        _write_atomic(files)
     except (ValueError, OSError, ckt.CapacityError, mps.DegenerateTransferError) as exc:
         parser.error(str(exc))
     sys.stdout.write(text if args.out or payload is None else payload)

@@ -32,7 +32,7 @@ class EnsembleStats:
     mean: float
     standard_error: float
     master_seed: int
-    values: tuple | None = None
+    values: tuple
 
 
 def sample_rngs(master_seed: int, n: int):
@@ -47,62 +47,56 @@ def _check_ensemble(q: int, n_samples: int) -> None:
         raise ValueError(f"a standard error needs at least 2 samples, got {n_samples}")
 
 
-def _stats(values: np.ndarray, master_seed: int, keep_values: bool) -> EnsembleStats:
-    values = np.asarray(values, dtype=float)
+def _sample_spectra(spectrum, n_samples: int, seed: int) -> np.ndarray:
+    """Row k is ``spectrum(rng_k)`` for the k-th generator split from ``seed``."""
+    return np.array([spectrum(rng) for rng in sample_rngs(seed, n_samples)])
+
+
+def choi_spectra(q: int, n_samples: int, seed: int) -> np.ndarray:
+    """Operator-state spectra of Haar gates, one row of q^2 weights per sample."""
+    _check_ensemble(q, n_samples)
+    d = q * q
+    return _sample_spectra(
+        lambda rng: schmidt_probs(choi_vector(haar_unitary(d, rng), q), d), n_samples, seed)
+
+
+def _stats(values: np.ndarray, master_seed: int) -> EnsembleStats:
     n = values.size
     return EnsembleStats(
         n_samples=n,
         mean=float(values.mean()),
         standard_error=float(values.std(ddof=1) / math.sqrt(n)),
         master_seed=master_seed,
-        values=tuple(values) if keep_values else None,
+        values=tuple(values),
     )
 
 
-def haar_choi_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = False) -> EnsembleStats:
+def haar_choi_fidelity(q: int, n_samples: int, seed: int) -> EnsembleStats:
     """Mean F(rho_AB', I/q^2) over Haar gates.
 
     Uses the pure-vs-identity shortcut F(rho, I/d) = tr(sqrt(rho))/sqrt(d)
     (the general fidelity routine agrees; see the cross-check tests).
     """
-    _check_ensemble(q, n_samples)
-    vals = np.empty(n_samples)
-    for k, rng in enumerate(sample_rngs(seed, n_samples)):
-        ev = schmidt_probs(choi_vector(haar_unitary(q * q, rng), q), q * q)
-        vals[k] = np.sqrt(ev).sum() / q
-    return _stats(vals, seed, keep_values)
+    return _stats(np.sqrt(choi_spectra(q, n_samples, seed)).sum(1) / q, seed)
 
 
 def catalan_number(n: int) -> int:
     return math.factorial(2 * n) // (math.factorial(n) * math.factorial(n + 1))
 
 
-def haar_purity_moments(
-    q: int, ns, n_samples: int, seed: int, keep_values: bool = False
-) -> dict:
-    """Means of tr(rho_AB'^n) for several n from one Haar sample stream.
+def haar_purity_moments(q: int, ns, n_samples: int, seed: int) -> dict:
+    """Means of tr(rho_AB'^n) for several n from one Haar sample stream;
+    compare each with C_n / q^{2(n-1)}.
 
     The stream depends only on (seed, sample index), so each entry equals
-    the corresponding single-n experiment run with the same seed.
+    the single-n experiment run with the same seed.
     """
-    _check_ensemble(q, n_samples)
     ns = tuple(int(n) for n in ns)
     for n in ns:
         if n not in (2, 3, 4):
             raise ValueError(f"moment order must be 2, 3 or 4, got {n}")
-    vals = {n: np.empty(n_samples) for n in ns}
-    for k, rng in enumerate(sample_rngs(seed, n_samples)):
-        ev = schmidt_probs(choi_vector(haar_unitary(q * q, rng), q), q * q)
-        for n in ns:
-            vals[n][k] = (ev ** n).sum()
-    return {n: _stats(vals[n], seed, keep_values) for n in ns}
-
-
-def haar_purity_moment(
-    q: int, n: int, n_samples: int, seed: int, keep_values: bool = False
-) -> EnsembleStats:
-    """Mean tr(rho_AB'^n) over Haar gates; compare with C_n / q^{2(n-1)}."""
-    return haar_purity_moments(q, (n,), n_samples, seed, keep_values)[n]
+    p = choi_spectra(q, n_samples, seed)
+    return {n: _stats((p ** n).sum(1), seed) for n in ns}
 
 
 def purity_moment_target(q: int, n: int) -> float:
@@ -110,15 +104,17 @@ def purity_moment_target(q: int, n: int) -> float:
     return catalan_number(n) / q ** (2 * (n - 1))
 
 
-def haar_state_fidelity(q: int, n_samples: int, seed: int, keep_values: bool = False) -> EnsembleStats:
+def _haar_state_probs(q: int, rng) -> np.ndarray:
+    v = rng.standard_normal(q * q) + 1j * rng.standard_normal(q * q)
+    v /= np.linalg.norm(v)
+    return schmidt_probs(v, q)
+
+
+def haar_state_fidelity(q: int, n_samples: int, seed: int) -> EnsembleStats:
     """Mean F(rho_A, I/q) over Haar two-qudit pure states."""
     _check_ensemble(q, n_samples)
-    vals = np.empty(n_samples)
-    for k, rng in enumerate(sample_rngs(seed, n_samples)):
-        v = rng.standard_normal(q * q) + 1j * rng.standard_normal(q * q)
-        v /= np.linalg.norm(v)
-        vals[k] = np.sqrt(schmidt_probs(v, q)).sum() / math.sqrt(q)
-    return _stats(vals, seed, keep_values)
+    p = _sample_spectra(lambda rng: _haar_state_probs(q, rng), n_samples, seed)
+    return _stats(np.sqrt(p).sum(1) / math.sqrt(q), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .qinfo import DensityMatrix, PureState, reduce, trace_norm
+from .qinfo import DensityMatrix, PureState, reduce, schmidt_probs, trace_norm, unitarity_defect
 
 GATE_UNITARITY_TOL = 1e-10
 DUAL_TOL = 1e-10
@@ -60,7 +60,7 @@ class Gate:
             raise ValueError(f"local dimension must be >= 2, got {q}")
         if matrix.shape != (q * q, q * q):
             raise ValueError(f"matrix shape {matrix.shape} != ({q*q}, {q*q})")
-        defect = trace_norm(matrix @ matrix.conj().T - np.eye(q * q))
+        defect = unitarity_defect(matrix)
         if defect > GATE_UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: ||uu+ - I||_1 = {defect:.3e}")
         matrix.setflags(write=False)
@@ -192,14 +192,15 @@ def choi_output_state(g: Gate) -> DensityMatrix:
 
 
 def gram_defect(g: Gate) -> float:
-    m = reshuffle(g.matrix, g.q)
-    return float(np.abs(np.linalg.eigvalsh(m @ m.conj().T - np.eye(g.q ** 2))).sum())
+    """||M M+ - I||_1 of the dual matrix M."""
+    return unitarity_defect(reshuffle(g.matrix, g.q))
 
 
 def choi_defect(g: Gate) -> float:
-    rho = choi_output_state(g)
-    target = np.eye(g.q ** 2) / g.q ** 2
-    return float(np.abs(np.linalg.eigvalsh(target - rho.matrix)).sum())
+    """||rho_AB' - I/q^2||_1 from the Schmidt spectrum of the 4-qudit output
+    at the (A, B') cut, i.e. the spectrum of ``choi_output_state``."""
+    d = g.q ** 2
+    return float(np.abs(schmidt_probs(choi_vector(g.matrix, g.q), d) - 1 / d).sum())
 
 
 def defects(g: Gate) -> DefectReport:

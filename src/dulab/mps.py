@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import _check_capacity, cut_probs
 from .gates import haar_unitary
-from .qinfo import PureState, entropy_from_probs
+from .qinfo import PureState, entropy_from_probs, unitarity_defect
 
 SOLVABLE_TOL = 1e-10
 #: transfer gap below this flags a (near-)degenerate fixed point
@@ -72,9 +72,7 @@ def combined_tensor(pair: MPSPair) -> np.ndarray:
 
 def solvability_defect(pair: MPSPair) -> float:
     """||N N+ - I||_1; zero exactly for solvable pairs."""
-    n = combined_tensor(pair)
-    d = pair.chi * pair.q
-    return float(np.abs(np.linalg.eigvalsh(n @ n.conj().T - np.eye(d))).sum())
+    return unitarity_defect(combined_tensor(pair))
 
 
 def random_solvable(q: int, chi: int, seed) -> MPSPair:

@@ -292,6 +292,12 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def unitarity_defect(m: np.ndarray) -> float:
+    """||m m+ - I||_1 of a square matrix: the |eigenvalues| of a Hermitian difference."""
+    m = np.asarray(m)
+    return float(np.abs(np.linalg.eigvalsh(m @ m.conj().T - np.eye(m.shape[0]))).sum())
+
+
 def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
     if rho.dims != sigma.dims:
         raise ValueError(f"dims mismatch: {rho.dims} vs {sigma.dims}")

@@ -143,10 +143,8 @@ class TestEvolve:
             L=6, q=2, gate=swap,
             first_layer_override=ident,
             bond_gates={2: kim},
-            layer_gates={(2, "odd"): kim},
         )
-        assert circ.gate_for(1, 0) is ident
-        assert circ.gate_for(2, 1) is kim  # layer override
+        assert circ.gate_for(1, 2) is ident  # first-layer override beats the bond gate
         assert circ.gate_for(3, 2) is kim  # bond override
         assert circ.gate_for(3, 0) is swap
 

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -43,6 +45,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             run(["audit-gate", "--gate", "nonsense", "--q", "2", "--out", str(out)])
         assert not out.exists()
+
+    def test_no_raw_output_when_out_fails(self, tmp_path, monkeypatch, capsys):
+        # every temp file is written before any is renamed into place
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run(["haar-fidelity", "--q", "2", "--samples", "2", "--seed", "1",
+                 "--raw", "r.csv", "--out", "missing-dir/x.json"])
+        assert e.value.code == 2
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "missing-dir" / "x.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_gate_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -93,8 +106,8 @@ class TestUsageErrors:
         from dulab import cli
         from dulab.ensemble import EnsembleStats
 
-        def sampler(q, n, seed, keep_values=False):
-            return EnsembleStats(n, math.nan, math.nan, seed)
+        def sampler(q, n, seed):
+            return EnsembleStats(n, math.nan, math.nan, seed, (math.nan,) * n)
 
         monkeypatch.setitem(cli.FIDELITY_EXPERIMENTS, "haar-fidelity",
                             (sampler, 16, "stub"))
@@ -275,6 +288,17 @@ class TestEnsembleCommands:
         assert doc["pass"] is True
         assert raw.read_text().splitlines()[0] == "index,value"
         assert len(raw.read_text().splitlines()) == 61
+
+    def test_output_files_follow_umask(self, tmp_path, capsys):
+        out, raw = tmp_path / "hf.json", tmp_path / "raw.csv"
+        old = os.umask(0o022)
+        try:
+            run(["haar-fidelity", "--q", "2", "--samples", "4", "--seed", "1",
+                 "--out", str(out), "--raw", str(raw)])
+        finally:
+            os.umask(old)
+        for path in (out, raw):
+            assert stat.filemode(path.stat().st_mode) == "-rw-r--r--"
 
     def test_determinism_bitwise(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,9 +6,10 @@ import pytest
 from dulab.ensemble import (
     EpsDeltaPoint,
     catalan_number,
+    choi_spectra,
     eps_delta_scan,
     haar_choi_fidelity,
-    haar_purity_moment,
+    haar_purity_moments,
     haar_state_fidelity,
     loglog_slope,
     purity_moment_target,
@@ -20,6 +21,7 @@ from dulab.gates import (
     choi_defect,
     fourier_gate,
     haar_gate,
+    haar_unitary,
     kicked_ising_gate,
     nearest_dual_q2,
     swap_gate,
@@ -70,12 +72,32 @@ class TestAgainstGeneralFidelity:
             assert np.allclose(fast, slow, atol=1e-13)
 
     def test_batch_moments_match_single_runs(self):
-        from dulab.ensemble import haar_purity_moment, haar_purity_moments
-
         batch = haar_purity_moments(3, (2, 3), 40, seed=5)
         for n in (2, 3):
-            single = haar_purity_moment(3, n, 40, seed=5)
+            single = haar_purity_moments(3, (n,), 40, seed=5)[n]
             assert single.mean == batch[n].mean
+
+
+class TestOneStream:
+    @pytest.mark.parametrize("q", [2, 3, 8])
+    def test_row_reductions_equal_per_sample_loop(self, q):
+        # reference: one spectrum and one reduction per generator, in order
+        fid, pur2, pur3, state = [], [], [], []
+        for rng in sample_rngs(21, 12):
+            p = schmidt_probs(choi_vector(haar_unitary(q * q, rng), q), q * q)
+            fid.append(np.sqrt(p).sum() / q)
+            pur2.append((p ** 2).sum())
+            pur3.append((p ** 3).sum())
+        for rng in sample_rngs(21, 12):
+            v = rng.standard_normal(q * q) + 1j * rng.standard_normal(q * q)
+            v /= np.linalg.norm(v)
+            state.append(np.sqrt(schmidt_probs(v, q)).sum() / math.sqrt(q))
+        assert choi_spectra(q, 12, 21).shape == (12, q * q)
+        moments = haar_purity_moments(q, (2, 3), 12, seed=21)
+        assert haar_choi_fidelity(q, 12, seed=21).values == tuple(fid)
+        assert moments[2].values == tuple(pur2)
+        assert moments[3].values == tuple(pur3)
+        assert haar_state_fidelity(q, 12, seed=21).values == tuple(state)
 
 
 class TestStandardError:
@@ -98,7 +120,7 @@ class TestCatalan:
 
     def test_small_q_moment_roughly_catalan(self):
         # finite-q corrections enter at about -2/q^2
-        stats = haar_purity_moment(8, 2, 200, seed=11)
+        stats = haar_purity_moments(8, (2,), 200, seed=11)[2]
         assert stats.mean * 64 == pytest.approx(2.0, rel=0.05)
 
 
