@@ -25,7 +25,7 @@ import numpy as np
 
 from . import circuit as ckt
 from . import ensemble, gates, mps
-from .qinfo import bell_state, kron_states, trace_norm
+from .qinfo import bell_state, entropy_from_probs, kron_states, trace_norm
 
 SCHEMA_VERSION = "1"
 EIGHT_THIRDS_PI = 8.0 / (3.0 * math.pi)
@@ -75,11 +75,13 @@ def _write_atomic(files: dict) -> None:
                 fh.write(text)
         for tmp, path in zip(tmps, files):
             os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        # name the path that was asked for, not its temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
         for tmp in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +191,14 @@ def _cmd_kicked_ising(args):
 
 def _cmd_mps(args):
     if args.load:
-        pair = mps.load_mps(args.load, validate_solvable=False)
+        pair = mps.load_mps(args.load)
     else:
         pair = mps.random_solvable(args.q, args.chi, args.seed)
-    if args.save:
-        mps.save_mps(pair, args.save)
     defect = mps.solvability_defect(pair)
     gap = mps.transfer_gap(pair)
-    e_ab, e_ba = mps.cut_entropies_exact(pair, n_cells=args.cells)
-    pur2 = mps.replica_purity(pair, 2, n_cells=args.cells)
-    pur3 = mps.replica_purity(pair, 3, n_cells=args.cells)
+    p_ab, p_ba = mps.interior_cut_probs(pair, n_cells=args.cells)
+    e_ab, e_ba = entropy_from_probs(p_ab), entropy_from_probs(p_ba)
+    pur2, pur3 = float((p_ab ** 2).sum()), float((p_ab ** 3).sum())
     chi_q = pair.chi * pair.q
     tol = 1e-8
     ok = (
@@ -226,7 +226,8 @@ def _cmd_mps(args):
     if args.bits:
         doc["E_AB_bits_display"] = e_ab / math.log(2)
         doc["E_BA_bits_display"] = e_ba / math.log(2)
-    return doc, ok, None, {}
+    saved = {args.save: mps.pair_json(pair)} if args.save else {}
+    return doc, ok, None, saved
 
 
 def _raw_csv(values) -> str:
@@ -350,13 +351,11 @@ def _cmd_scan_eps_delta(args):
                                       math.log10(args.theta_max), args.points))
     points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
     slope, intercept = ensemble.loglog_slope(points)
-    cert_ok = True
-    for p in points:
-        if p.dist_to_projection is None:
-            continue
-        d_un = p.delta_unnormalized
-        if 0 < d_un <= 0.1:
-            cert_ok &= p.dist_to_projection <= 14 * math.sqrt(d_un)
+    # q^2 * delta: the normalization of the snap certificate at q = 2
+    d_uns = [p.delta * args.q ** 2 for p in points]
+    cert_ok = all(p.dist_to_projection <= 14 * math.sqrt(d_un)
+                  for p, d_un in zip(points, d_uns)
+                  if p.dist_to_projection is not None and 0 < d_un <= 0.1)
     zero_ok = points[0].epsilon == 0.0 and points[0].delta == 0.0
     if points[0].dist_to_projection is not None:
         zero_ok &= points[0].dist_to_projection == 0.0
@@ -385,8 +384,7 @@ def _cmd_scan_eps_delta(args):
     w = csv.writer(buf)
     w.writerow(["theta", "epsilon", "delta", "delta_unnormalized", "dist_to_projection",
                 "certificate_bound"])
-    for p in points:
-        d_un = p.delta * args.q ** 2
+    for p, d_un in zip(points, d_uns):
         w.writerow([
             repr(p.theta), repr(p.epsilon), repr(p.delta), repr(d_un),
             "" if p.dist_to_projection is None else repr(p.dist_to_projection),
@@ -469,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, default=2)
     p.add_argument("--cells", type=int, default=3)
     p.add_argument("--load", help="load an MPS pair from a JSON file instead of sampling")
-    p.add_argument("--save", help="save the pair to a JSON file")
+    p.add_argument("--save", help="save the pair to a JSON file (written with --out)")
     p.add_argument("--bits", action="store_true")
     _add_common(p, seed_required=True)
     p.set_defaults(func=_cmd_mps)

@@ -130,11 +130,6 @@ class EpsDeltaPoint:
     delta: float
     dist_to_projection: float | None
 
-    @property
-    def delta_unnormalized(self) -> float:
-        """The q^2 * delta convention used by the snap certificate (q = 2)."""
-        return 4.0 * self.delta if self.dist_to_projection is not None else float("nan")
-
 
 def random_hermitian_direction(d: int, seed) -> np.ndarray:
     """Random Hermitian matrix normalized to unit spectral norm."""
@@ -148,35 +143,19 @@ def _floor(x: float) -> float:
     return 0.0 if abs(x) < NOISE_FLOOR else float(x)
 
 
-def eps_delta_scan(
-    base: Gate,
-    thetas,
-    seed: int | None = None,
-    direction: np.ndarray | None = None,
-    with_projection: bool | None = None,
-) -> list:
-    """Scan u(theta) = base exp(-i theta H) along a Hermitian direction H.
+def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
+    """Scan u(theta) = base exp(-i theta H) along a random unit-norm
+    Hermitian direction H drawn from ``seed``.
 
     For each theta: epsilon from the four-party Bell (x) Bell experiment,
     delta = the choi-normalized dual defect, and at q = 2 the distance to
-    the snapped dual gate.  ``direction`` defaults to a random unit-norm
-    Hermitian drawn from ``seed``.  Values below the 1e-12 noise floor are
-    reported as exact zeros (and excluded from any log-log regression).
+    the snapped dual gate.  Values below the 1e-12 noise floor are reported
+    as exact zeros (and excluded from any log-log regression).
     """
     q = base.q
     if choi_defect(base) > 1e-10:
         raise ValueError("base gate must be dual unitary")
-    if direction is None:
-        if seed is None:
-            raise ValueError("need a seed when no direction is supplied")
-        direction = random_hermitian_direction(q * q, seed)
-    h = np.asarray(direction, dtype=complex)
-    h = (h + h.conj().T) / 2
-    nrm = np.linalg.norm(h, 2)
-    if abs(nrm - 1.0) > 1e-9:
-        h = h / nrm
-    if with_projection is None:
-        with_projection = q == 2
+    h = random_hermitian_direction(q * q, seed)
     state = kron_states(bell_state(q), bell_state(q))
     points = []
     for theta in thetas:
@@ -184,7 +163,7 @@ def eps_delta_scan(
         u = Gate(q, base.matrix @ scipy.linalg.expm(-1j * theta * h))
         rep = four_party_report(u, state)
         dist = None
-        if with_projection:
+        if q == 2:
             _, dist = nearest_dual_q2(u)
             dist = _floor(dist)
         points.append(

@@ -27,6 +27,8 @@ GATE_UNITARITY_TOL = 1e-10
 DUAL_TOL = 1e-10
 CARTAN_RECONSTRUCT_TOL = 1e-9
 QUARTER = math.pi / 4
+#: Cartan coefficients within this (radians) of a chamber wall lie on it
+CHAMBER_WALL = 1e-12
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -319,9 +321,10 @@ def cartan_decompose(g: Gate) -> CartanData:
     Algorithm: conjugate into the Bell-like basis, orthogonally diagonalize
     the symmetric unitary m^T m (deterministic ordering and tie-breaking),
     split off the one-site factors, then walk J into
-    pi/4 >= Jx >= Jy >= |Jz| (with Jz >= 0 when Jx = pi/4) by coefficient
-    shifts, axis swaps and pairwise sign flips absorbed into the one-site
-    factors.  Failure to reconstruct within 1e-9 is a hard error.
+    pi/4 >= Jx >= Jy >= |Jz| (with Jz >= 0 when Jx = pi/4), each wall held
+    to within CHAMBER_WALL, by coefficient shifts, axis swaps and pairwise
+    sign flips absorbed into the one-site factors.  Failure to reconstruct
+    within 1e-9 is a hard error.
     """
     if g.q != 2:
         raise ValueError(f"Cartan decomposition implemented for q = 2 only, got q = {g.q}")
@@ -381,24 +384,31 @@ def cartan_decompose(g: Gate) -> CartanData:
         J[i] = -J[i]
         J[j] = -J[j]
 
+    def sort_axes():
+        for _ in range(2):
+            if abs(J[0]) < abs(J[1]) - 1e-15:
+                swap_axes(0, 1)
+            if abs(J[1]) < abs(J[2]) - 1e-15:
+                swap_axes(1, 2)
+
+    # every J into [-pi/4 - wall, pi/4 - wall), so |J| <= pi/4 + wall
     for k in range(3):
-        n = int(math.floor((J[k] + QUARTER) / (math.pi / 2) + 1e-12))
+        n = int(math.floor((J[k] + QUARTER + CHAMBER_WALL) / (math.pi / 2)))
         if n:
             shift(k, n)
-    for _ in range(2):
-        if abs(J[0]) < abs(J[1]) - 1e-15:
-            swap_axes(0, 1)
-        if abs(J[1]) < abs(J[2]) - 1e-15:
-            swap_axes(1, 2)
+    sort_axes()
     if J[0] < -1e-15 and J[1] < -1e-15:
         flip_pair(0, 1)
     elif J[0] < -1e-15:
         flip_pair(0, 2)
     elif J[1] < -1e-15:
         flip_pair(1, 2)
-    if abs(J[0] - QUARTER) < 1e-12 and J[2] < -1e-15:
+    if QUARTER - J[0] < CHAMBER_WALL and J[2] < -1e-15:
+        # on the Jx = pi/4 wall: Jx -> pi/2 - Jx stays on it and Jz -> -Jz,
+        # which can put Jx below Jy, so the axes are sorted again
         shift(0, 1)
         flip_pair(0, 2)
+        sort_axes()
 
     phi = float((phi + math.pi) % (2 * math.pi) - math.pi)
     data = CartanData(phase=phi, u1=u1, u2=u2, u3=u3, u4=u4, J=tuple(float(j) for j in J))

@@ -94,45 +94,35 @@ def random_solvable(q: int, chi: int, seed) -> MPSPair:
     return MPSPair(q, chi, a, b)
 
 
-def transfer_spectrum(pair: MPSPair) -> np.ndarray:
-    """Eigenvalues of the unit-cell transfer map M -> sum (AB) M (AB)+,
-    sorted by descending magnitude."""
+def transfer_gap(pair: MPSPair) -> float:
+    """1 - |second eigenvalue| of the unit-cell transfer map M -> sum (AB) M (AB)+."""
     cell = pair.cell_matrices().reshape(-1, pair.chi, pair.chi)
     t = np.einsum("nab,ncd->acbd", cell, cell.conj()).reshape(pair.chi ** 2, pair.chi ** 2)
     ev = np.linalg.eigvals(t)
-    return ev[np.argsort(-np.abs(ev))]
-
-
-def transfer_gap(pair: MPSPair) -> float:
-    """1 - |second eigenvalue| of the unit-cell transfer map."""
-    ev = transfer_spectrum(pair)
     if len(ev) < 2:
         return 1.0
-    return float(1.0 - abs(ev[1]))
+    return float(1.0 - abs(ev[np.argsort(-np.abs(ev))][1]))
 
 
-def dense_state(pair: MPSPair, n_cells: int, boundary=None) -> PureState:
-    """Contract ...A B A B... with explicit boundary vectors and normalize.
-
-    ``boundary`` is a pair (left, right) of chi-dimensional vectors; the
-    default is uniform 1/sqrt(chi) entries, matching the weights of the
-    transfer fixed points.
-    """
+def _contract(pair: MPSPair, n_cells: int, t: np.ndarray) -> np.ndarray:
+    """Append n_cells unit cells A B to t: rows carry the left boundary and
+    the physical legs so far (a-major), columns the open bond."""
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    q, chi = pair.q, pair.chi
-    _check_capacity(q ** (2 * n_cells) * pair.chi_prime)
-    if boundary is None:
-        left = np.full(chi, 1.0 / math.sqrt(chi), dtype=complex)
-        right = left.copy()
-    else:
-        left = np.asarray(boundary[0], dtype=complex).reshape(chi)
-        right = np.asarray(boundary[1], dtype=complex).reshape(chi)
-    t = left.reshape(1, chi)  # (phys, bond)
+    q = pair.q
     for _ in range(n_cells):
         t = np.einsum("pc,icd->pid", t, pair.A).reshape(t.shape[0] * q, -1)
         t = np.einsum("pc,jcb->pjb", t, pair.B).reshape(t.shape[0] * q, -1)
-    v = t @ right
+    return t
+
+
+def dense_state(pair: MPSPair, n_cells: int) -> PureState:
+    """Contract ...A B A B... between uniform 1/sqrt(chi) boundary vectors,
+    the weights of the transfer fixed points, and normalize."""
+    q, chi = pair.q, pair.chi
+    _check_capacity(q ** (2 * n_cells) * pair.chi_prime)
+    edge = np.full(chi, 1.0 / math.sqrt(chi), dtype=complex)
+    v = _contract(pair, n_cells, edge.reshape(1, chi)) @ edge
     v = v / np.linalg.norm(v)
     return PureState(v, (q,) * (2 * n_cells))
 
@@ -142,20 +132,23 @@ def dense_state_with_environment(pair: MPSPair, n_cells: int) -> PureState:
     boundary subsystems; for a solvable pair the left/right environments are
     then exactly the transfer fixed points, so interior cuts carry no
     boundary effects at any length."""
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
     q, chi = pair.q, pair.chi
     _check_capacity(q ** (2 * n_cells) * chi * chi)
-    t = np.eye(chi, dtype=complex)  # (left leg + phys, bond)
-    for _ in range(n_cells):
-        t = np.einsum("pc,icd->pid", t, pair.A).reshape(t.shape[0] * q, -1)
-        t = np.einsum("pc,jcb->pjb", t, pair.B).reshape(t.shape[0] * q, -1)
-    v = t.reshape(-1)
+    v = _contract(pair, n_cells, np.eye(chi, dtype=complex)).reshape(-1)
     v = v / np.linalg.norm(v)
     return PureState(v, (chi,) + (q,) * (2 * n_cells) + (chi,))
 
 
-def _require_solvable(pair: MPSPair) -> None:
+def interior_cut_probs(pair: MPSPair, n_cells: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt weights (p_AB, p_BA) of the infinite chain: the A:B cut in the
+    middle cell of one environment realization, and the B:A cut after it.
+
+    The boundary legs carry the transfer fixed-point environments, making
+    boundary effects on interior cuts exactly zero (far below the 1e-9
+    budget).  The pair is checked first: a non-solvable pair is a
+    ValueError, and a transfer gap below GAP_TOL is flagged as degenerate
+    rather than assumed away.
+    """
     defect = solvability_defect(pair)
     if defect > SOLVABLE_TOL:
         raise ValueError(f"pair is not solvable: defect {defect:.3e} > {SOLVABLE_TOL}")
@@ -165,34 +158,23 @@ def _require_solvable(pair: MPSPair) -> None:
             f"transfer gap {gap:.3e} below {GAP_TOL}: fixed point not unique enough "
             "for interior-cut extraction"
         )
-
-
-def _middle_cell(pair: MPSPair, n_cells: int) -> tuple[PureState, int]:
-    """The environment realization of a solvable pair and the bond of the
-    A:B cut in its middle cell (the B:A cut is the next bond)."""
-    _require_solvable(pair)
-    # bonds: 0 = env|A-cell...; cut inside cell k (A:B) is bond 2k + 1
-    return dense_state_with_environment(pair, n_cells), 2 * (n_cells // 2) + 1
+    psi = dense_state_with_environment(pair, n_cells)
+    # bonds: 0 = env|A-cell...; the A:B cut inside cell k is bond 2k + 1
+    ab = 2 * (n_cells // 2) + 1
+    return cut_probs(psi, ab), cut_probs(psi, ab + 1)
 
 
 def cut_entropies_exact(pair: MPSPair, n_cells: int = 3) -> tuple[float, float]:
-    """Interior cut entropies (E_AB, E_BA) of the infinite chain.
-
-    Contracts a realization whose boundary legs carry the transfer
-    fixed-point environments, making boundary effects on interior cuts
-    exactly zero (far below the 1e-9 budget); the transfer gap is still
-    checked so a degenerate fixed point is flagged rather than assumed away.
-    """
-    psi, ab = _middle_cell(pair, n_cells)
-    return entropy_from_probs(cut_probs(psi, ab)), entropy_from_probs(cut_probs(psi, ab + 1))
+    """Interior cut entropies (E_AB, E_BA) of the infinite chain."""
+    p_ab, p_ba = interior_cut_probs(pair, n_cells)
+    return entropy_from_probs(p_ab), entropy_from_probs(p_ba)
 
 
 def replica_purity(pair: MPSPair, n: int, n_cells: int = 3) -> float:
     """tr(rho_Q^n) at an interior A:B cut of the infinite chain."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    psi, ab = _middle_cell(pair, n_cells)
-    return float((cut_probs(psi, ab) ** n).sum())
+    return float((interior_cut_probs(pair, n_cells)[0] ** n).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +185,33 @@ def _tensor_to_json(t: np.ndarray):
     return [[[ [float(z.real), float(z.imag)] for z in row] for row in mat] for mat in t]
 
 
-def _tensor_from_json(data) -> np.ndarray:
+def _tensor_from_json(data, path, key: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 4 or arr.shape[-1] != 2:
-        raise ValueError("tensor entries must be nested [re, im] pairs")
+        raise ValueError(f"{path}: {key} entries must be nested [re, im] pairs")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite entry in {key} at {bad[0, :3].tolist()}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def save_mps(pair: MPSPair, path) -> None:
-    doc = {
+def pair_json(pair: MPSPair) -> str:
+    """The pair file text: fields q, chi, A and B."""
+    return json.dumps({
         "q": pair.q,
         "chi": pair.chi,
-        "A": _tensor_to_json(np.asarray(pair.A)),
-        "B": _tensor_to_json(np.asarray(pair.B)),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        "A": _tensor_to_json(pair.A),
+        "B": _tensor_to_json(pair.B),
+    })
 
 
-def load_mps(path, validate_solvable: bool = False) -> MPSPair:
+def load_mps(path) -> MPSPair:
+    """Read a pair file; dimensions and finiteness are checked here,
+    solvability where cut spectra are read."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     for key in ("q", "chi", "A", "B"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
-    pair = MPSPair(doc["q"], doc["chi"], _tensor_from_json(doc["A"]), _tensor_from_json(doc["B"]))
-    if validate_solvable:
-        defect = solvability_defect(pair)
-        if defect > SOLVABLE_TOL:
-            raise ValueError(f"{path}: pair not solvable, defect {defect:.3e}")
-    return pair
+    return MPSPair(doc["q"], doc["chi"], _tensor_from_json(doc["A"], path, "A"),
+                   _tensor_from_json(doc["B"], path, "B"))

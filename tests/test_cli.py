@@ -53,8 +53,20 @@ class TestUsageErrors:
             run(["haar-fidelity", "--q", "2", "--samples", "2", "--seed", "1",
                  "--raw", "r.csv", "--out", "missing-dir/x.json"])
         assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "missing-dir/x.json" in err and ".dulab-" not in err
         assert not (tmp_path / "r.csv").exists()
         assert not (tmp_path / "missing-dir" / "x.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_save_output_when_out_fails(self, tmp_path, monkeypatch, capsys):
+        # --save is written together with --out
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run(["mps", "--q", "2", "--chi", "2", "--seed", "5",
+                 "--save", "p.json", "--out", "missing-dir/x.json"])
+        assert e.value.code == 2
+        assert "missing-dir/x.json" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_gate_file_exits_2(self, tmp_path, capsys):
@@ -129,6 +141,21 @@ class TestUsageErrors:
             run(["audit-gate", "--gate", str(path), "--q", "2"])
         assert e.value.code == 2
         assert f":3: non-finite entry {entry!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    def test_non_finite_mps_entry_exits_2(self, value, tmp_path, capsys):
+        pair = tmp_path / "p.json"
+        run(["mps", "--q", "2", "--chi", "2", "--seed", "5", "--save", str(pair)])
+        capsys.readouterr()
+        doc = json.loads(pair.read_text())
+        doc["A"][0][1][2] = ["VALUE", 0.0]
+        pair.write_text(json.dumps(doc).replace('"VALUE"', value))
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(["mps", "--seed", "0", "--load", str(pair), "--out", str(out)])
+        assert e.value.code == 2
+        assert "p.json: non-finite entry in A at [0, 1, 2]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-4", "many"])
     def test_amplitude_budget_below_one_exits_2(self, value, monkeypatch, capsys):

@@ -147,7 +147,7 @@ class TestEpsDeltaScan:
         pts = eps_delta_scan(kicked_ising_gate(QUARTER, QUARTER, 0.5),
                              np.logspace(-3, -1.2, 7), seed=12)
         for p in pts:
-            delta_c = p.delta_unnormalized
+            delta_c = 4 * p.delta
             if 0 < delta_c <= 0.1:
                 assert p.dist_to_projection <= 14 * math.sqrt(delta_c)
 

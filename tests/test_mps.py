@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from dulab import mps
 from dulab.circuit import BrickworkCircuit, bond_entropies, evolve
 from dulab.gates import kicked_ising_gate, swap_gate
+from dulab.qinfo import entropy_from_probs
 from dulab.mps import (
     MPSPair,
     combined_tensor,
     cut_entropies_exact,
     dense_state,
     dense_state_with_environment,
+    interior_cut_probs,
     load_mps,
+    pair_json,
     random_solvable,
     replica_purity,
-    save_mps,
     solvability_defect,
     transfer_gap,
 )
@@ -112,6 +115,28 @@ class TestCutEntropies:
         pair = random_solvable(2, 2, seed=1)
         assert transfer_gap(pair) > mps.GAP_TOL
 
+    def test_degenerate_transfer_flagged(self):
+        # N = identity is solvable, but every cell is a multiple of the
+        # identity, so the transfer map is the identity and has no gap
+        q, chi = 2, 2
+        pair = random_solvable(q, chi, seed=1)
+        b = np.eye(chi * q).reshape(chi * q, chi, q).transpose(2, 0, 1)
+        pair = MPSPair(q, chi, pair.A, b)
+        assert solvability_defect(pair) <= 1e-12
+        with pytest.raises(mps.DegenerateTransferError, match="transfer gap"):
+            interior_cut_probs(pair)
+
+    @pytest.mark.parametrize("q,chi,n_cells", [(2, 1, 3), (2, 2, 3), (3, 2, 2), (2, 2, 4)])
+    def test_reductions_of_one_realization(self, q, chi, n_cells):
+        # the entropies and purities are bit-identical reductions of the
+        # two interior spectra
+        pair = random_solvable(q, chi, seed=60)
+        p_ab, p_ba = interior_cut_probs(pair, n_cells)
+        e_ab, e_ba = cut_entropies_exact(pair, n_cells)
+        assert e_ab == entropy_from_probs(p_ab) and e_ba == entropy_from_probs(p_ba)
+        for n in (1, 2, 3):
+            assert replica_purity(pair, n, n_cells) == float((p_ab ** n).sum())
+
 
 class TestReplicaPurity:
     @pytest.mark.parametrize(
@@ -162,11 +187,12 @@ class TestFileFormat:
     def test_round_trip(self, tmp_path):
         pair = random_solvable(2, 2, seed=31)
         path = tmp_path / "pair.json"
-        save_mps(pair, path)
-        back = load_mps(path, validate_solvable=True)
+        path.write_text(pair_json(pair))
+        back = load_mps(path)
         assert back.q == 2 and back.chi == 2
         assert np.allclose(np.asarray(back.A), np.asarray(pair.A), atol=0)
         assert np.allclose(np.asarray(back.B), np.asarray(pair.B), atol=0)
+        assert solvability_defect(back) <= mps.SOLVABLE_TOL
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -175,22 +201,32 @@ class TestFileFormat:
             load_mps(path)
 
     def test_validation_on_request(self, tmp_path, rng):
+        # a non-solvable pair loads; reading its cut spectra rejects it
         q, chi = 2, 1
         a = rng.standard_normal((q, chi, q * chi)) / 2
         b = rng.standard_normal((q, q * chi, chi)) / 2
-        save_mps(MPSPair(q, chi, a, b), tmp_path / "ns.json")
-        load_mps(tmp_path / "ns.json")  # loads fine without validation
+        (tmp_path / "ns.json").write_text(pair_json(MPSPair(q, chi, a, b)))
+        pair = load_mps(tmp_path / "ns.json")
         with pytest.raises(ValueError, match="not solvable"):
-            load_mps(tmp_path / "ns.json", validate_solvable=True)
+            cut_entropies_exact(pair)
 
     def test_dimension_revalidated(self, tmp_path):
         pair = random_solvable(2, 1, seed=1)
         path = tmp_path / "dim.json"
-        save_mps(pair, path)
-        import json
-
+        path.write_text(pair_json(pair))
         doc = json.loads(path.read_text())
         doc["chi"] = 2
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="shape"):
+            load_mps(path)
+
+    @pytest.mark.parametrize("field", ["A", "B"])
+    @pytest.mark.parametrize("value", ["NaN", "1e999"])
+    def test_non_finite_entry_rejected(self, field, value, tmp_path):
+        doc = json.loads(pair_json(random_solvable(2, 2, seed=1)))
+        doc[field][1][0][1] = ["VALUE", 0.0]
+        path = tmp_path / "nf.json"
+        path.write_text(json.dumps(doc).replace('"VALUE"', value))
+        with pytest.raises(ValueError, match=f"nf.json: non-finite entry in {field} at "
+                                             r"\[1, 0, 1\]"):
             load_mps(path)

@@ -1,21 +1,30 @@
-"""Property tests of the dual-unitarity identities and the gate-validation edge.
+"""Property tests of the dual-unitarity identities, the gate-validation edge
+and the Cartan chamber walls.
 
 Runs are derandomized with a bounded example count, so the suite draws the
 same examples on every run.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dulab.gates import (
+    CHAMBER_WALL,
     GATE_UNITARITY_TOL,
+    QUARTER,
     Gate,
+    cartan_decompose,
     choi_defect,
     choi_output_state,
+    cz_gate,
     fourier_gate,
     gram_defect,
     haar_gate,
     haar_unitary,
+    interaction_gate,
+    nearest_dual_q2,
     reshuffle,
     swap_gate,
 )
@@ -110,3 +119,78 @@ def test_gate_rejects_just_over_tolerance(g):
     assert unitarity_defect(m) > GATE_UNITARITY_TOL
     with pytest.raises(ValueError, match="not unitary"):
         Gate(g.q, m)
+
+
+# ---------------------------------------------------------------------------
+# Cartan chamber walls and the snap certificate
+# ---------------------------------------------------------------------------
+
+WALL_DISTANCES = (0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1e-7)
+signs = st.sampled_from((1, -1))
+#: each coordinate sits near its wall two times in three, so the corners
+#: where walls meet (SWAP, iSWAP) are drawn often
+near_wall = st.sampled_from((True, True, False))
+
+
+def dressed(u: np.ndarray, draw) -> Gate:
+    """(a (x) b) u (c (x) d) with Haar one-site factors."""
+    a, b, c, d = (haar_unitary(2, draw(seeds)) for _ in range(4))
+    return Gate(2, np.kron(a, b) @ u @ np.kron(c, d))
+
+
+@st.composite
+def near_wall_gates(draw, distance: float):
+    """A dressed interaction gate exp(-i (x XX + y YY + z ZZ)).  Each of the
+    walls x = pi/4, y = x and |z| = y is either missed by ``distance`` to
+    one side or the other, or the coordinate lies anywhere below it."""
+    def coordinate(wall: float) -> float:
+        if draw(near_wall):
+            return wall - draw(signs) * distance
+        return wall * draw(st.floats(0.0, 1.0))
+
+    x = coordinate(QUARTER)
+    y = coordinate(x)
+    z = draw(signs) * coordinate(y)
+    return dressed(interaction_gate(x, y, z), draw)
+
+
+NAMED_Q2 = {"swap": swap_gate(2).matrix, "cz": cz_gate(2).matrix, "iswap": _ISWAP}
+
+
+@st.composite
+def dressed_named(draw):
+    return dressed(NAMED_Q2[draw(st.sampled_from(sorted(NAMED_Q2)))], draw)
+
+
+def check_cartan(g: Gate) -> None:
+    """J in the chamber pi/4 >= Jx >= Jy >= |Jz| with Jz >= 0 on the Jx = pi/4
+    wall, each wall held to CHAMBER_WALL; magnitudes are ordered and Jx, Jy
+    non-negative to the 1e-15 of rounding that cartan_decompose allows.  The
+    snapped gate is dual and within the 14 sqrt(delta) certificate."""
+    x, y, z = cartan_decompose(g).J
+    assert x <= QUARTER + CHAMBER_WALL + 1e-15
+    assert abs(x) >= abs(y) - 1e-15 and abs(y) >= abs(z) - 1e-15
+    assert min(x, y) >= -1e-15
+    if QUARTER - x < CHAMBER_WALL:
+        assert z >= -1e-15
+    ux, dist = nearest_dual_q2(g)
+    assert choi_defect(ux) <= 1e-10
+    delta = 4 * choi_defect(g)
+    if 0 < delta <= 0.1:
+        assert dist <= 14 * math.sqrt(delta)
+
+
+@pytest.mark.parametrize("distance", WALL_DISTANCES)
+def test_cartan_chamber_near_walls(distance):
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(near_wall_gates(distance))
+    def check(g):
+        check_cartan(g)
+
+    check()
+
+
+@derandomized
+@given(dressed_named())
+def test_cartan_chamber_on_dressed_swap_cz_iswap(g):
+    check_cartan(g)
