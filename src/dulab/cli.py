@@ -523,6 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("save", "raw"):
+        path = getattr(args, flag, None)
+        if path and args.out and os.path.realpath(path) == os.path.realpath(args.out):
+            parser.error(f"--{flag} and --out name the same file: {path}")
     try:
         doc, ok, payload, files = args.func(args)
         text = json.dumps({"schema_version": SCHEMA_VERSION, "experiment": args.command,

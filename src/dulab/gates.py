@@ -397,11 +397,13 @@ def cartan_decompose(g: Gate) -> CartanData:
         if n:
             shift(k, n)
     sort_axes()
-    if J[0] < -1e-15 and J[1] < -1e-15:
+    # exact sign tests: Jx, Jy >= 0 with no slack, so Jy >= |Jz| holds to
+    # the one 1e-15 slack of the magnitude order
+    if J[0] < 0 and J[1] < 0:
         flip_pair(0, 1)
-    elif J[0] < -1e-15:
+    elif J[0] < 0:
         flip_pair(0, 2)
-    elif J[1] < -1e-15:
+    elif J[1] < 0:
         flip_pair(1, 2)
     if QUARTER - J[0] < CHAMBER_WALL and J[2] < -1e-15:
         # on the Jx = pi/4 wall: Jx -> pi/2 - Jx stays on it and Jz -> -Jz,

@@ -69,6 +69,20 @@ class TestUsageErrors:
         assert "missing-dir/x.json" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["mps", "--q", "2", "--chi", "2", "--seed", "5", "--save"], "--save"),
+        (["haar-fidelity", "--q", "2", "--samples", "4", "--seed", "1", "--raw"], "--raw"),
+    ])
+    def test_secondary_output_named_like_out_exits_2(self, argv, flag, tmp_path,
+                                                     monkeypatch, capsys):
+        # the same file reached through two spellings of its path
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["x.json", "--out", str(tmp_path / "x.json")])
+        assert e.value.code == 2
+        assert f"{flag} and --out name the same file: x.json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_gate_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1,0 0,0\n")
@@ -333,6 +347,30 @@ class TestEnsembleCommands:
             run(["haar-fidelity", "--q", "2", "--samples", "40", "--seed", "3",
                  "--out", str(p)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("q, samples, fan_out", [
+        (4, 40, None),  # in-process loop
+        (16, 4, None),
+        (16, 6, 2),     # 3 blocks on spawned workers
+    ])
+    def test_bytes_independent_of_blas_threads(self, q, samples, fan_out, tmp_path):
+        import dulab
+
+        setup = "" if fan_out is None else f"ensemble.FAN_OUT_SAMPLES = {fan_out}; "
+        code = ("import sys; from dulab import cli, ensemble; " + setup
+                + "sys.exit(cli.main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(dulab.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            path = [src, os.environ.get("PYTHONPATH")]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+            subprocess.run([sys.executable, "-c", code, "haar-fidelity", "--q", str(q),
+                            "--samples", str(samples), "--seed", "7", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_state_fidelity_small(self, capsys):
         code = run(["state-fidelity", "--q", "16", "--samples", "200", "--seed", "5",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dulab import ensemble
 from dulab.ensemble import (
     EpsDeltaPoint,
     catalan_number,
@@ -98,6 +99,58 @@ class TestOneStream:
         assert moments[2].values == tuple(pur2)
         assert moments[3].values == tuple(pur3)
         assert haar_state_fidelity(q, 12, seed=21).values == tuple(state)
+
+
+class TestStreamReuseAndFanOut:
+    def test_fan_out_bit_identical_to_serial(self, monkeypatch):
+        # 3 blocks of at most 3 samples on 2 spawned workers against the
+        # in-process loop, which is what one worker runs
+        serial = choi_spectra(16, 8, 13).copy()
+        ensemble._choi_stream.cache_clear()
+        monkeypatch.setattr(ensemble, "FAN_OUT_SAMPLES", 3)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert np.array_equal(choi_spectra(16, 8, 13), serial)
+
+    def test_repeat_draws_nothing_and_is_read_only(self, monkeypatch):
+        first = choi_spectra(3, 10, 5)
+        draws = []
+
+        def counted(d, rng):
+            draws.append(d)
+            return haar_unitary(d, rng)
+
+        monkeypatch.setattr(ensemble, "haar_unitary", counted)
+        again = choi_spectra(3, 10, 5)
+        assert again is first and draws == []
+        assert not again.flags.writeable
+        with pytest.raises(ValueError):
+            again[0, 0] = 1.0
+        assert np.array_equal(choi_spectra(3, 11, 5)[:10], first)
+        assert len(draws) == 11
+
+    def test_bad_input_raises_after_a_cache_hit(self):
+        choi_spectra(2, 4, 1)
+        choi_spectra(2, 4, 1)
+        with pytest.raises(ValueError, match="q must be >= 2, got 1"):
+            choi_spectra(1, 4, 1)
+        with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+            choi_spectra(2, 1, 1)
+
+    def test_loop_runs_at_one_blas_thread_and_restores_the_count(self):
+        blas = ensemble._blas_threads()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get = blas[0]
+        before = get()
+        seen = []
+
+        def spectrum(rng):
+            seen.append(get())
+            return np.zeros(1)
+
+        ensemble._sample_spectra(spectrum, 4, 3, 1)
+        assert seen == [1, 1, 1]
+        assert get() == before
 
 
 class TestStandardError:

@@ -171,6 +171,7 @@ def check_cartan(g: Gate) -> None:
     assert x <= QUARTER + CHAMBER_WALL + 1e-15
     assert abs(x) >= abs(y) - 1e-15 and abs(y) >= abs(z) - 1e-15
     assert min(x, y) >= -1e-15
+    assert x >= y - 1e-15 and y >= abs(z) - 1e-15
     if QUARTER - x < CHAMBER_WALL:
         assert z >= -1e-15
     ux, dist = nearest_dual_q2(g)
