@@ -7,7 +7,6 @@ from .qinfo import (
     bell_state,
     entropy_vn,
     fidelity,
-    mutual_information,
     purify,
     reduce,
     relative_entropy,

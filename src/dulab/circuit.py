@@ -27,13 +27,12 @@ from .qinfo import (
     apply_unitary,
     bell_state,
     entropy_from_probs,
-    entropy_vn,
     fidelity,
     kron_states,
+    marginal_probs,
     permute_subsystems,
     purify,
     reduce,
-    schmidt_probs,
     trace_norm_distance,
     uhlmann_align,
 )
@@ -248,14 +247,9 @@ def _apply_pair_gate(psi: np.ndarray, u: np.ndarray, site: int, dims: tuple) -> 
     return np.einsum("pq,lqr->lpr", u, t).reshape(-1)
 
 
-def cut_probs(state: PureState, bond: int) -> np.ndarray:
-    """Schmidt weights between sites [0..bond] and the rest of the chain."""
-    return schmidt_probs(state.amplitudes, int(np.prod(state.dims[: bond + 1])))
-
-
 def bond_entropies(state: PureState) -> np.ndarray:
     """Entropy of the left segment [0..b] for every cut b."""
-    return np.array([entropy_from_probs(cut_probs(state, b))
+    return np.array([entropy_from_probs(marginal_probs(state, range(b + 1)))
                      for b in range(state.n_subsystems - 1)])
 
 
@@ -405,7 +399,9 @@ def four_party_report(
     """Audit of one gate acting on the middle qudits of a pure ABCD state.
 
     ``state`` carries dims (dA, q, q, dD); the gate acts on (B, C).
-    epsilon is always the measured 2 ln q - (S(AB') - S(AB)).
+    epsilon is always the measured 2 ln q - (S(AB') - S(AB)).  The 13
+    entropies read 9 spectra, as complementary marginals of a pure state
+    share one: S(BCD) = S(A), S(ABC) = S(D), S(CD) = S(AB), S(C'D) = S(AB').
     """
     if state.n_subsystems != 4:
         raise ValueError(f"state must have exactly 4 parties, got {state.n_subsystems}")
@@ -414,34 +410,28 @@ def four_party_report(
         raise ValueError(f"B and C must be single qudits of dimension {q}, dims = {state.dims}")
     out = apply_unitary(state, u.matrix, (1, 2))
 
-    rho_in = {
-        "A": reduce(state, {0}), "B": reduce(state, {1}), "C": reduce(state, {2}),
-        "D": reduce(state, {3}), "AB": reduce(state, {0, 1}), "CD": reduce(state, {2, 3}),
-        "BC": reduce(state, {1, 2}), "ABC": reduce(state, {0, 1, 2}),
-        "BCD": reduce(state, {1, 2, 3}),
-    }
-    rho_out = {
-        "Bp": reduce(out, {1}), "Cp": reduce(out, {2}),
-        "ABp": reduce(out, {0, 1}), "CpD": reduce(out, {2, 3}),
-    }
-    s_in = {k: entropy_vn(v) for k, v in rho_in.items()}
-    s_out = {k: entropy_vn(v) for k, v in rho_out.items()}
+    probs = {k: marginal_probs(psi, keep) for k, psi, keep in (
+        ("A", state, {0}), ("B", state, {1}), ("C", state, {2}), ("D", state, {3}),
+        ("AB", state, {0, 1}), ("BC", state, {1, 2}),
+        ("Bp", out, {1}), ("Cp", out, {2}), ("ABp", out, {0, 1}),
+    )}
+    S = {k: entropy_from_probs(p) for k, p in probs.items()}
 
-    delta_S = s_out["ABp"] - s_in["AB"]
+    delta_S = S["ABp"] - S["AB"]
     eps = 2 * math.log(q) - delta_S
     dA, dD = state.dims[0], state.dims[3]
 
     f_out = fidelity(
-        rho_out["ABp"],
-        DensityMatrix(np.kron(rho_in["A"].matrix, np.eye(q) / q), (dA, q), validate=False),
+        reduce(out, {0, 1}),
+        DensityMatrix(np.kron(reduce(state, {0}).matrix, np.eye(q) / q), (dA, q), validate=False),
     )
     f_in = fidelity(
-        rho_in["BCD"],
-        DensityMatrix(np.kron(np.eye(q) / q, rho_in["CD"].matrix), (q, q, dD), validate=False),
+        reduce(state, {1, 2, 3}),
+        DensityMatrix(np.kron(np.eye(q) / q, reduce(state, {2, 3}).matrix), (q, q, dD),
+                      validate=False),
     )
-    f_bc = fidelity(
-        rho_in["BC"], DensityMatrix(np.eye(q * q) / (q * q), (q, q), validate=False)
-    )
+    # F(rho, I/d) = tr sqrt(rho) / sqrt(d), held to [0, 1] like ``fidelity``
+    f_bc = float(min(1.0, np.sqrt(probs["BC"]).sum() / q))
 
     recon = None
     if with_reconstruction:
@@ -450,17 +440,17 @@ def four_party_report(
     return FourPartyReport(
         delta_S=delta_S,
         epsilon=eps,
-        cond_A=s_in["A"] - s_in["AB"],
-        cond_D=s_in["D"] - s_in["CD"],
-        S_B=s_in["B"],
-        S_Bp=s_out["Bp"],
-        S_C=s_in["C"],
-        S_Cp=s_out["Cp"],
-        S_BC=s_in["BC"],
-        I_AB_C=s_in["AB"] + s_in["C"] - s_in["ABC"],
-        I_B_CD=s_in["B"] + s_in["CD"] - s_in["BCD"],
-        I_A_Bp=s_in["A"] + s_out["Bp"] - s_out["ABp"],
-        I_Cp_D=s_out["Cp"] + s_in["D"] - s_out["CpD"],
+        cond_A=S["A"] - S["AB"],
+        cond_D=S["D"] - S["AB"],
+        S_B=S["B"],
+        S_Bp=S["Bp"],
+        S_C=S["C"],
+        S_Cp=S["Cp"],
+        S_BC=S["BC"],
+        I_AB_C=S["AB"] + S["C"] - S["D"],
+        I_B_CD=S["B"] + S["AB"] - S["A"],
+        I_A_Bp=S["A"] + S["Bp"] - S["ABp"],
+        I_Cp_D=S["Cp"] + S["D"] - S["ABp"],
         F_out=f_out,
         F_in=f_in,
         F_BC=f_bc,

@@ -239,17 +239,18 @@ def _raw_csv(values) -> str:
     return buf.getvalue()
 
 
-#: subcommand -> (sampler, default q, help); both means target 8/(3 pi)
+#: subcommand -> (sampler name in ``ensemble``, looked up at call time so a
+#: rebound attribute is the one called, default q, help); both target 8/(3 pi)
 FIDELITY_EXPERIMENTS = {
-    "haar-fidelity": (ensemble.haar_choi_fidelity, 16,
+    "haar-fidelity": ("haar_choi_fidelity", 16,
                       "mean operator-state fidelity to maximal mixing"),
-    "state-fidelity": (ensemble.haar_state_fidelity, 32,
+    "state-fidelity": ("haar_state_fidelity", 32,
                        "mean single-qudit marginal fidelity for Haar states"),
 }
 
 
 def _cmd_fidelity(args):
-    sampler = FIDELITY_EXPERIMENTS[args.command][0]
+    sampler = getattr(ensemble, FIDELITY_EXPERIMENTS[args.command][0])
     stats = sampler(args.q, args.samples, args.seed)
     ok = abs(stats.mean - EIGHT_THIRDS_PI) <= args.tolerance
     doc = {
@@ -356,12 +357,15 @@ def _cmd_scan_eps_delta(args):
     cert_ok = all(p.dist_to_projection <= 14 * math.sqrt(d_un)
                   for p, d_un in zip(points, d_uns)
                   if p.dist_to_projection is not None and 0 < d_un <= 0.1)
+    # Pinsker: delta <= sqrt(2 epsilon), with the noise floor that zeroes epsilon
+    pinsker_ok = all(p.delta <= math.sqrt(2 * (p.epsilon + ensemble.NOISE_FLOOR))
+                     for p in points)
     zero_ok = points[0].epsilon == 0.0 and points[0].delta == 0.0
     if points[0].dist_to_projection is not None:
         zero_ok &= points[0].dist_to_projection == 0.0
     nonzero = [p for p in points if p.theta > 0]
     shrink_ok = nonzero[0].delta <= nonzero[-1].delta
-    ok = zero_ok and 0.4 <= slope <= 1.1 and cert_ok and shrink_ok
+    ok = zero_ok and 0.4 <= slope <= 1.1 and cert_ok and shrink_ok and pinsker_ok
     doc = {
         "params": {"base": args.base, "q": args.q, "theta_min": args.theta_min,
                    "theta_max": args.theta_max, "points": args.points},
@@ -371,6 +375,7 @@ def _cmd_scan_eps_delta(args):
         "sqrt_law_constant": ensemble.sqrt_law_constant(points),
         "zero_point_exact": bool(zero_ok),
         "certificate_ok": bool(cert_ok),
+        "pinsker_ok": bool(pinsker_ok),
         "pass": bool(ok),
     }
     if args.format == "json":

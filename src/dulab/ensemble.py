@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .circuit import four_party_report
-from .gates import Gate, choi_defect, choi_vector, haar_unitary, nearest_dual_q2
-from .qinfo import bell_state, kron_states, schmidt_probs
+from .gates import Gate, choi_defect, choi_probs, haar_unitary, nearest_dual_q2
+from .qinfo import schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
 NOISE_FLOOR = 1e-12
@@ -135,8 +134,7 @@ def _sample_spectra(spectrum, d: int, n_samples: int, seed: int) -> np.ndarray:
 
 
 def _choi_probs(q: int, rng) -> np.ndarray:
-    d = q * q
-    return schmidt_probs(choi_vector(haar_unitary(d, rng), q), d)
+    return choi_probs(haar_unitary(q * q, rng), q)
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,21 +241,27 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
     """Scan u(theta) = base exp(-i theta H) along a random unit-norm
     Hermitian direction H drawn from ``seed``.
 
-    For each theta: epsilon from the four-party Bell (x) Bell experiment,
-    delta = the choi-normalized dual defect, and at q = 2 the distance to
-    the snapped dual gate.  Values below the 1e-12 noise floor are reported
-    as exact zeros (and excluded from any log-log regression).
+    For each theta, two reductions of p = ``choi_probs(u)`` against 1/d,
+    d = q^2: epsilon = D(p || 1/d) = sum[p ln(d p) - p + 1/d], the Bell (x)
+    Bell entanglement deficit, whose terms are all >= 0 (no cancellation at
+    small epsilon), and delta = sum |p - 1/d|, the choi-normalized dual
+    defect; at q = 2 also the distance to the snapped dual gate.  Values
+    below the 1e-12 noise floor are reported as exact zeros (and excluded
+    from any log-log regression).
     """
     q = base.q
+    d = q * q
     if choi_defect(base) > 1e-10:
         raise ValueError("base gate must be dual unitary")
-    h = random_hermitian_direction(q * q, seed)
-    state = kron_states(bell_state(q), bell_state(q))
+    h = random_hermitian_direction(d, seed)
     points = []
     for theta in thetas:
         theta = float(theta)
         u = Gate(q, base.matrix @ scipy.linalg.expm(-1j * theta * h))
-        rep = four_party_report(u, state)
+        p = choi_probs(u.matrix, q)
+        eps_terms = np.full(d, 1 / d)  # 0 ln 0 = 0: a zero weight adds 1/d
+        nz = p > 0
+        eps_terms[nz] += p[nz] * np.log(d * p[nz]) - p[nz]
         dist = None
         if q == 2:
             _, dist = nearest_dual_q2(u)
@@ -265,8 +269,8 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
         points.append(
             EpsDeltaPoint(
                 theta=theta,
-                epsilon=_floor(rep.epsilon),
-                delta=_floor(choi_defect(u)),
+                epsilon=_floor(eps_terms.sum()),
+                delta=_floor(np.abs(p - 1 / d).sum()),
                 dist_to_projection=dist,
             )
         )
@@ -287,7 +291,8 @@ def loglog_slope(points) -> tuple[float, float]:
 
 def sqrt_law_constant(points) -> float:
     """Largest delta / sqrt(epsilon) over nonzero points: the empirical C in
-    delta <= C sqrt(epsilon).  Recorded for the log only; no reference value
-    exists to assert against."""
+    delta <= C sqrt(epsilon).  Pinsker's inequality makes sqrt(2) the
+    reference: delta and epsilon are the l1 distance and relative entropy
+    of one spectrum from the uniform one."""
     vals = [p.delta / math.sqrt(p.epsilon) for p in points if p.epsilon > 0 and p.delta > 0]
     return max(vals) if vals else 0.0

@@ -198,11 +198,15 @@ def gram_defect(g: Gate) -> float:
     return unitarity_defect(reshuffle(g.matrix, g.q))
 
 
+def choi_probs(matrix: np.ndarray, q: int) -> np.ndarray:
+    """Schmidt spectrum of the 4-qudit output at the (A, B') cut: the q^2
+    eigenvalues of ``choi_output_state``, ascending."""
+    return schmidt_probs(choi_vector(matrix, q), q * q)
+
+
 def choi_defect(g: Gate) -> float:
-    """||rho_AB' - I/q^2||_1 from the Schmidt spectrum of the 4-qudit output
-    at the (A, B') cut, i.e. the spectrum of ``choi_output_state``."""
-    d = g.q ** 2
-    return float(np.abs(schmidt_probs(choi_vector(g.matrix, g.q), d) - 1 / d).sum())
+    """||rho_AB' - I/q^2||_1, read from ``choi_probs``."""
+    return float(np.abs(choi_probs(g.matrix, g.q) - 1 / g.q ** 2).sum())
 
 
 def defects(g: Gate) -> DefectReport:

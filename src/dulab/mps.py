@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_capacity, cut_probs
+from .circuit import _check_capacity
 from .gates import haar_unitary
-from .qinfo import PureState, entropy_from_probs, unitarity_defect
+from .qinfo import PureState, entropy_from_probs, marginal_probs, unitarity_defect
 
 SOLVABLE_TOL = 1e-10
 #: transfer gap below this flags a (near-)degenerate fixed point
@@ -161,7 +161,7 @@ def interior_cut_probs(pair: MPSPair, n_cells: int = 3) -> tuple[np.ndarray, np.
     psi = dense_state_with_environment(pair, n_cells)
     # bonds: 0 = env|A-cell...; the A:B cut inside cell k is bond 2k + 1
     ab = 2 * (n_cells // 2) + 1
-    return cut_probs(psi, ab), cut_probs(psi, ab + 1)
+    return marginal_probs(psi, range(ab + 1)), marginal_probs(psi, range(ab + 2))
 
 
 def cut_entropies_exact(pair: MPSPair, n_cells: int = 3) -> tuple[float, float]:

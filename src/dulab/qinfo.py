@@ -255,6 +255,15 @@ def schmidt_probs(amplitudes: np.ndarray, dl: int) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
 
+def marginal_probs(state: PureState, keep) -> np.ndarray:
+    """Spectrum of the marginal of a pure state on ``keep``: the Schmidt
+    weights of the vector with ``keep`` moved to the front, cut after it."""
+    keep = Bipartition.of(keep)
+    comp = keep.complement(state.n_subsystems)
+    dk = int(np.prod([state.dims[k] for k in keep.keep]))
+    return schmidt_probs(state.tensor().transpose(keep.keep + comp), dk)
+
+
 def entropy_from_probs(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 0]
@@ -264,20 +273,6 @@ def entropy_from_probs(p: np.ndarray) -> float:
 def entropy_vn(rho: DensityMatrix) -> float:
     """Von Neumann entropy -tr(rho ln rho), in nats; 0 ln 0 := 0."""
     return entropy_from_probs(_clamped_probs(rho.eigenvalues()))
-
-
-def conditional_entropy(rho: DensityMatrix, cond) -> float:
-    """S(X|Y) = S(XY) - S(Y) with Y = ``cond`` and X its complement."""
-    cond = Bipartition.of(cond)
-    cond.validate(rho.n_subsystems)
-    return entropy_vn(rho) - entropy_vn(reduce(rho, cond))
-
-
-def mutual_information(rho: DensityMatrix, split) -> float:
-    """I(X;Y) = S(X) + S(Y) - S(XY) with X = ``split`` and Y its complement."""
-    split = Bipartition.of(split)
-    comp = split.complement(rho.n_subsystems)
-    return entropy_vn(reduce(rho, split)) + entropy_vn(reduce(rho, comp)) - entropy_vn(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,12 @@ class TestUsageErrors:
 
     def test_non_finite_result_exits_2(self, monkeypatch, tmp_path, capsys):
         # a NaN that gets past the flags still never leaves with exit 0
-        from dulab import cli
-        from dulab.ensemble import EnsembleStats
+        from dulab import ensemble
 
         def sampler(q, n, seed):
-            return EnsembleStats(n, math.nan, math.nan, seed, (math.nan,) * n)
+            return ensemble.EnsembleStats(n, math.nan, math.nan, seed, (math.nan,) * n)
 
-        monkeypatch.setitem(cli.FIDELITY_EXPERIMENTS, "haar-fidelity",
-                            (sampler, 16, "stub"))
+        monkeypatch.setattr(ensemble, "haar_choi_fidelity", sampler)
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as e:
             run(["haar-fidelity", "--seed", "1", "--out", str(out)])
@@ -377,6 +375,22 @@ class TestEnsembleCommands:
                     "--tolerance", "0.02", "--assert"])
         assert code == 0
 
+    def test_state_fidelity_calls_the_rebound_sampler(self, monkeypatch, capsys):
+        # looked up in ``ensemble`` at run time, so a wrapper bound there
+        # (a stub, the benchmark's span tracer) is the one called
+        from dulab import ensemble
+
+        calls = []
+        sampler = ensemble.haar_state_fidelity
+
+        def wrapped(q, n, seed):
+            calls.append((q, n, seed))
+            return sampler(q, n, seed)
+
+        monkeypatch.setattr(ensemble, "haar_state_fidelity", wrapped)
+        assert run(["state-fidelity", "--q", "4", "--samples", "10", "--seed", "3"]) == 0
+        assert calls == [(4, 10, 3)]
+
     def test_catalan_small(self, capsys):
         code = run(["catalan", "--q", "8", "--samples", "200", "--seed", "11"])
         assert code == 0
@@ -415,6 +429,27 @@ class TestScanEpsDelta:
         assert len(rows) == 1 + 8  # theta = 0 plus the grid
         summary = json.loads(capsys.readouterr().out)
         assert 0.4 <= summary["loglog_slope"] <= 1.1
+        assert summary["pinsker_ok"] is True and summary["pass"] is True
+
+    def test_pinsker_violation_fails_the_scan(self, monkeypatch, capsys):
+        # Pinsker holds for every gate, so break it in the points themselves:
+        # a last epsilon cut to a quarter puts delta at ~2 sqrt(2 epsilon)
+        import dataclasses
+
+        from dulab import ensemble
+
+        scan = ensemble.eps_delta_scan
+
+        def broken(base, thetas, seed):
+            pts = scan(base, thetas, seed)
+            return pts[:-1] + [dataclasses.replace(pts[-1], epsilon=pts[-1].epsilon / 4)]
+
+        monkeypatch.setattr(ensemble, "eps_delta_scan", broken)
+        code = run(["scan-eps-delta", "--base", "swap", "--q", "2", "--seed", "8",
+                    "--format", "json", "--assert"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pinsker_ok"] is False and doc["pass"] is False and code == 1
+        assert doc["zero_point_exact"] and doc["certificate_ok"]
 
     def test_non_dual_base_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:

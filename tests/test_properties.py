@@ -1,5 +1,6 @@
-"""Property tests of the dual-unitarity identities, the gate-validation edge
-and the Cartan chamber walls.
+"""Property tests of the dual-unitarity identities, the gate-validation edge,
+the Cartan chamber walls, the deficit-vs-defect scan and the four-party
+bounds near Bell (x) Bell.
 
 Runs are derandomized with a bounded example count, so the suite draws the
 same examples on every run.
@@ -8,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_pure
+from dulab.circuit import four_party_report
+from dulab.ensemble import NOISE_FLOOR, eps_delta_scan, random_hermitian_direction
 from dulab.gates import (
     CHAMBER_WALL,
     GATE_UNITARITY_TOL,
@@ -28,7 +33,16 @@ from dulab.gates import (
     reshuffle,
     swap_gate,
 )
-from dulab.qinfo import trace_norm, unitarity_defect
+from dulab.qinfo import (
+    PureState,
+    apply_unitary,
+    bell_state,
+    entropy_vn,
+    kron_states,
+    reduce,
+    trace_norm,
+    unitarity_defect,
+)
 
 derandomized = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -195,3 +209,78 @@ def test_cartan_chamber_near_walls(distance):
 @given(dressed_named())
 def test_cartan_chamber_on_dressed_swap_cz_iswap(g):
     check_cartan(g)
+
+
+# ---------------------------------------------------------------------------
+# the deficit-vs-defect scan and the four-party audit near Bell (x) Bell
+# ---------------------------------------------------------------------------
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+def perturbed(base: Gate, theta: float, seed: int) -> Gate:
+    """The scan's gate base exp(-i theta H) along its direction H from ``seed``."""
+    h = random_hermitian_direction(base.q ** 2, seed)
+    return Gate(base.q, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+
+
+def bell_pairs(q: int) -> PureState:
+    return kron_states(bell_state(q), bell_state(q))
+
+
+scan_thetas = st.lists(log_uniform(1e-6, 1.0), min_size=1, max_size=4)
+
+
+@derandomized
+@given(dressed_duals(), scan_thetas, seeds)
+def test_scan_epsilon_is_the_audit_epsilon(g, thetas, seed):
+    # the four-party audit on Bell (x) Bell is the oracle for epsilon; the
+    # scan reports a value below the noise floor as an exact zero
+    for pt in eps_delta_scan(g, thetas, seed):
+        eps = four_party_report(perturbed(g, pt.theta, seed), bell_pairs(g.q)).epsilon
+        assert abs(pt.epsilon - (eps if abs(eps) >= NOISE_FLOOR else 0.0)) <= 1e-13
+
+
+@derandomized
+@given(dressed_duals(), scan_thetas, seeds)
+def test_scan_obeys_pinsker(g, thetas, seed):
+    for pt in eps_delta_scan(g, thetas, seed):
+        assert pt.delta <= math.sqrt(2 * (pt.epsilon + NOISE_FLOOR))
+
+
+def dense_audit_entropies(u: Gate, state: PureState) -> dict:
+    """The 13 entropic fields of the audit from dense marginals of all 13
+    subsystem sets, without using complementarity."""
+    out = apply_unitary(state, u.matrix, (1, 2))
+
+    def S(psi, *keep):
+        return entropy_vn(reduce(psi, set(keep)))
+
+    a, b, c, d = (S(state, k) for k in range(4))
+    ab, bc, cd = S(state, 0, 1), S(state, 1, 2), S(state, 2, 3)
+    abc, bcd = S(state, 0, 1, 2), S(state, 1, 2, 3)
+    bp, cp, abp, cpd = S(out, 1), S(out, 2), S(out, 0, 1), S(out, 2, 3)
+    return {
+        "delta_S": abp - ab, "epsilon": 2 * math.log(u.q) - (abp - ab),
+        "cond_A": a - ab, "cond_D": d - cd,
+        "S_B": b, "S_Bp": bp, "S_C": c, "S_Cp": cp, "S_BC": bc,
+        "I_AB_C": ab + c - abc, "I_B_CD": b + cd - bcd,
+        "I_A_Bp": a + bp - abp, "I_Cp_D": cp + d - cpd,
+    }
+
+
+@derandomized
+@given(dressed_duals(), st.just(0.0) | log_uniform(1e-6, 1e-2), seeds,
+       log_uniform(1e-12, 1e-3), seeds)
+def test_four_party_bounds_near_bell_pairs(g, theta, seed, weight, state_seed):
+    # epsilon -> 0: every bound is nearly tight and F_out, F_in take square
+    # roots of nearly rank-deficient marginals
+    u = perturbed(g, theta, seed)
+    r = random_pure((g.q,) * 4, seed=state_seed).amplitudes
+    v = math.sqrt(1 - weight) * bell_pairs(g.q).amplitudes + math.sqrt(weight) * r
+    state = PureState(v / np.linalg.norm(v), (g.q,) * 4)
+    rep = four_party_report(u, state)
+    assert rep.all_hold(slack=1e-9), rep.inequality_checks(slack=1e-9)
+    for field, want in dense_audit_entropies(u, state).items():
+        assert abs(getattr(rep, field) - want) <= 1e-12, field

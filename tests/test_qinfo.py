@@ -12,8 +12,8 @@ from dulab.qinfo import (
     entropy_vn,
     fidelity,
     kron_states,
+    marginal_probs,
     maximally_mixed,
-    mutual_information,
     purify,
     reduce,
     relative_entropy,
@@ -113,6 +113,15 @@ class TestEntropy:
         rho = DensityMatrix(np.kron(ra.matrix, rb.matrix), (2, 3))
         assert entropy_vn(rho) == pytest.approx(entropy_vn(ra) + entropy_vn(rb), abs=1e-9)
 
+    def test_araki_lieb_and_subadditivity(self):
+        for seed in range(8):
+            rho = random_density((2, 2, 2), rank=3, seed=seed)
+            sa = entropy_vn(reduce(rho, {0}))
+            sb = entropy_vn(reduce(rho, {1, 2}))
+            sab = entropy_vn(rho)
+            assert abs(sa - sb) <= sab + 1e-9
+            assert sab <= sa + sb + 1e-9
+
 
 class TestSchmidtProbs:
     """The Gram-matrix spectrum against an SVD oracle."""
@@ -148,42 +157,19 @@ class TestSchmidtProbs:
         p = schmidt_probs(bell_state(q).amplitudes, q)
         assert np.allclose(p, 1.0 / q, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("keep", [(0,), (1,), (3,), (0, 2), (1, 2), (0, 1, 3), (1, 2, 3)])
+    def test_marginal_probs_is_the_reduced_spectrum(self, keep):
+        psi = random_pure((2, 3, 2, 4), seed=len(keep) + sum(keep))
+        p = marginal_probs(psi, keep)
+        want = reduce(psi, keep).eigenvalues()
+        n = min(want.size, 48 // want.size)
+        assert p.shape == (n,)
+        assert np.allclose(p, want[-n:], rtol=0, atol=1e-14)
+        assert np.allclose(want[:-n], 0.0, rtol=0, atol=1e-14)
 
-class TestMutualAndConditional:
-    def test_product_has_zero_mutual_information(self):
-        ra = random_density((2,), seed=31)
-        rb = random_density((2,), seed=32)
-        rho = DensityMatrix(np.kron(ra.matrix, rb.matrix), (2, 2))
-        assert mutual_information(rho, {0}) == pytest.approx(0.0, abs=1e-10)
-
-    def test_bell_mutual_information(self):
-        assert mutual_information(bell_state(2).density(), {0}) == pytest.approx(
-            2 * LN2, abs=1e-10
-        )
-
-    def test_werner_like_mixture(self):
-        # oracle: eigenvalues 5/8 and 1/8 (x3); I = 2 ln 2 - S(AB)
-        phi = bell_state(2).density()
-        rho = DensityMatrix(0.5 * phi.matrix + 0.5 * np.eye(4) / 4, (2, 2))
-        s_ab = -(0.625 * math.log(0.625) + 3 * 0.125 * math.log(0.125))
-        want = 2 * LN2 - s_ab
-        assert want == pytest.approx(0.3127515147113676, abs=1e-12)
-        assert mutual_information(rho, {0}) == pytest.approx(want, abs=1e-10)
-
-    def test_conditional_entropy_of_bell(self):
-        # S(B|A) = S(AB) - S(A) = -ln 2 for a Bell pair
-        assert qinfo.conditional_entropy(bell_state(2).density(), {0}) == pytest.approx(
-            -LN2, abs=1e-10
-        )
-
-    def test_araki_lieb_and_subadditivity(self):
-        for seed in range(8):
-            rho = random_density((2, 2, 2), rank=3, seed=seed)
-            sa = entropy_vn(reduce(rho, {0}))
-            sb = entropy_vn(reduce(rho, {1, 2}))
-            sab = entropy_vn(rho)
-            assert abs(sa - sb) <= sab + 1e-9
-            assert sab <= sa + sb + 1e-9
+    def test_marginal_probs_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            marginal_probs(bell_state(2), {2})
 
 
 class TestDistances:
