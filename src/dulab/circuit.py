@@ -1,5 +1,6 @@
-"""Brickwork evolution on a finite open chain, entanglement profiles,
-velocity estimation, zigzag detection and the four-party growth audit.
+"""Brickwork evolution of an exact matrix-product state on a finite open
+chain, entanglement profiles, velocity estimation, zigzag detection and the
+four-party growth audit.
 
 The finite open chain stands in for an infinite lattice: central-cut values
 are only trusted while the light cone from the cut has not reached a
@@ -28,7 +29,6 @@ from .qinfo import (
     bell_state,
     entropy_from_probs,
     fidelity,
-    kron_states,
     marginal_probs,
     permute_subsystems,
     purify,
@@ -39,6 +39,9 @@ from .qinfo import (
 
 DEFAULT_MAX_AMPLITUDES = 2 ** 26
 CAPACITY_ENV = "DULAB_MAX_AMPLITUDES"
+#: singular values at or below this fraction of the largest at a cut are
+#: dropped, which discards at most min(rows, cols) * SV_CUT^2 of the weight
+SV_CUT = 1e-14
 
 
 class CapacityError(RuntimeError):
@@ -68,56 +71,77 @@ def _check_capacity(n_amplitudes: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# initial states
+# initial states: site tensors (chi_l, q, chi_r) with unit outer bonds, and
+# the dense states that contract them
 # ---------------------------------------------------------------------------
 
-def product_state(L: int, q: int, site_states: Sequence[np.ndarray] | None = None) -> PureState:
+def contract_chain(t: np.ndarray, sites: Sequence[np.ndarray]) -> np.ndarray:
+    """Append site tensors (chi_l, d, chi_r) to the matrix t, whose columns
+    are the open bond: each site's leg joins the rows, earlier legs major."""
+    for a in sites:
+        t = np.einsum("pc,cid->pid", t, a).reshape(-1, a.shape[2])
+    return t
+
+
+def contract_sites(sites: Sequence[np.ndarray]) -> PureState:
+    """Dense state of a chain of site tensors; the q^L result is budgeted."""
+    dims = tuple(a.shape[1] for a in sites)
+    _check_capacity(int(np.prod(dims)))
+    return PureState(contract_chain(np.ones((1, 1), dtype=complex), sites), dims)
+
+
+def product_sites(L: int, q: int, site_states: Sequence[np.ndarray] | None = None) -> list:
     """Product state; all |0> unless per-site vectors are given."""
     if site_states is None:
-        site_states = [None] * L
+        site_states = [np.eye(q)[0]] * L
     if len(site_states) != L:
         raise ValueError(f"need {L} site states, got {len(site_states)}")
-    _check_capacity(q ** L)
-    v = np.array([1.0 + 0j])
+    sites = []
     for s in site_states:
-        if s is None:
-            site = np.zeros(q, dtype=complex)
-            site[0] = 1.0
-        else:
-            site = np.asarray(s, dtype=complex).reshape(-1)
-            if site.size != q:
-                raise ValueError(f"site state of length {site.size} != q = {q}")
-            site = site / np.linalg.norm(site)
-        v = np.kron(v, site)
-    return PureState(v, (q,) * L)
+        site = np.asarray(s, dtype=complex).reshape(-1)
+        if site.size != q:
+            raise ValueError(f"site state of length {site.size} != q = {q}")
+        sites.append((site / np.linalg.norm(site)).reshape(1, q, 1))
+    return sites
 
 
-def dimer_state(L: int, q: int) -> PureState:
+def dimer_sites(L: int, q: int) -> list:
     """Bell pairs on (0,1), (2,3), ...; bond profile alternates ln q, 0."""
     if L % 2:
         raise ValueError(f"dimer state needs even L, got {L}")
-    _check_capacity(q ** L)
-    return kron_states(*(bell_state(q) for _ in range(L // 2)))
+    eye = np.eye(q, dtype=complex)
+    return [eye.reshape(1, q, q), eye.reshape(q, q, 1) / math.sqrt(q)] * (L // 2)
 
 
-def xy_product_state(L: int, phases: Sequence[float] | None = None) -> PureState:
+def xy_product_sites(L: int, phases: Sequence[float] | None = None) -> list:
     """Qubit product state with every spin on the xy plane (T-class)."""
     if phases is None:
         phases = [0.0] * L
-    sites = [np.array([1.0, np.exp(1j * p)]) / math.sqrt(2) for p in phases]
-    return product_state(L, 2, sites)
+    return product_sites(L, 2, [np.array([1.0, np.exp(1j * p)]) / math.sqrt(2) for p in phases])
 
 
-def z_product_state(L: int, bits: Sequence[int] | None = None) -> PureState:
+def z_product_sites(L: int, bits: Sequence[int] | None = None) -> list:
     """Qubit product state with every spin along z (L-class)."""
     if bits is None:
         bits = [0] * L
-    sites = []
-    for b in bits:
-        site = np.zeros(2, dtype=complex)
-        site[int(b)] = 1.0
-        sites.append(site)
-    return product_state(L, 2, sites)
+    return product_sites(L, 2, [np.eye(2)[int(b)] for b in bits])
+
+
+# the dense forms of the named states
+def product_state(L: int, q: int, site_states: Sequence[np.ndarray] | None = None) -> PureState:
+    return contract_sites(product_sites(L, q, site_states))
+
+
+def dimer_state(L: int, q: int) -> PureState:
+    return contract_sites(dimer_sites(L, q))
+
+
+def xy_product_state(L: int, phases: Sequence[float] | None = None) -> PureState:
+    return contract_sites(xy_product_sites(L, phases))
+
+
+def z_product_state(L: int, bits: Sequence[int] | None = None) -> PureState:
+    return contract_sites(z_product_sites(L, bits))
 
 
 def initial_state(kind: str, L: int, q: int, **params) -> PureState:
@@ -239,47 +263,101 @@ class EntanglementRecord:
                             str(bool(self.light_cone_valid[i])).lower()])
 
 
-def _apply_pair_gate(psi: np.ndarray, u: np.ndarray, site: int, dims: tuple) -> np.ndarray:
-    left = int(np.prod(dims[:site])) if site else 1
-    d2 = dims[site] * dims[site + 1]
-    right = int(np.prod(dims[site + 2:])) if site + 2 < len(dims) else 1
-    t = psi.reshape(left, d2, right)
-    return np.einsum("pq,lqr->lpr", u, t).reshape(-1)
-
-
 def bond_entropies(state: PureState) -> np.ndarray:
-    """Entropy of the left segment [0..b] for every cut b."""
+    """Entropy of the left segment [0..b] for every cut b of a dense state."""
     return np.array([entropy_from_probs(marginal_probs(state, range(b + 1)))
                      for b in range(state.n_subsystems - 1)])
 
 
-def evolve(circuit: BrickworkCircuit, initial: PureState, T: int) -> EntanglementRecord:
-    """Apply T alternating brickwork layers, recording bond entropies after
-    each layer; the central-cut flag goes false once 2t + 2 > L."""
+def _svd_cut(m: np.ndarray):
+    """Thin SVD of m without the singular values at or below SV_CUT * s_max."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > SV_CUT * s[0]
+    return u[:, keep], s[keep], vh[keep]
+
+
+def _left_canonical(circuit: BrickworkCircuit, initial) -> list:
+    """Site tensors of the input split by sequential SVD from the left: every
+    tensor but the last is an isometry from (left bond, site) to its right
+    bond, so the last one holds the norm and a sweep can start at the right
+    end.  A chain of site tensors is re-split one site at a time."""
+    L, q = circuit.L, circuit.q
+    if isinstance(initial, PureState):
+        chain, dims, rest = None, initial.dims, initial.amplitudes.reshape(1, -1)
+    else:
+        chain = [np.asarray(a, dtype=complex) for a in initial]
+        if (any(a.ndim != 3 for a in chain)
+                or [a.shape[0] for a in chain] != [1] + [a.shape[2] for a in chain[:-1]]
+                or chain[-1].shape[2] != 1):
+            raise ValueError("site tensors (chi_l, q, chi_r) must chain with unit outer "
+                             f"bonds, got shapes {[a.shape for a in chain]}")
+        dims, rest = tuple(a.shape[1] for a in chain), np.ones((1, 1), dtype=complex)
+    if dims != (q,) * L:
+        raise ValueError(
+            f"initial state dims {dims} do not match circuit (L = {L}, q = {q})"
+        )
+
+    def rows_at(b, rest):
+        """rest with site b moved into its rows, the rest of the chain in its columns."""
+        if chain is None:
+            return rest.reshape(rest.shape[0] * q, -1)
+        return contract_chain(rest, chain[b:b + 1])
+
+    sites = []
+    for b in range(L - 1):
+        u, s, vh = _svd_cut(rows_at(b, rest))
+        sites.append(u.reshape(rest.shape[0], q, -1))
+        rest = s[:, None] * vh
+    sites.append(rows_at(L - 1, rest).reshape(-1, q, 1))
+    return sites
+
+
+def _sweep(circuit: BrickworkCircuit, sites: list, t: int) -> np.ndarray:
+    """Layer t (none at t = 0) as one canonical sweep, rightward at odd t,
+    that carries the centre from one end of the chain to the other.  At each
+    cut it contracts the two sites, applies the layer's gate if one sits on
+    that bond and takes one SVD; returns the bond entropies."""
+    L, q = circuit.L, circuit.q
+    gated = set(circuit.layer_bonds(t)) if t else set()
+    rightward = t % 2 == 1
+    entropies = np.empty(L - 1)
+    for b in range(L - 1) if rightward else range(L - 2, -1, -1):
+        chi_l, chi_r = sites[b].shape[0], sites[b + 1].shape[2]
+        theta = np.tensordot(sites[b], sites[b + 1], 1).reshape(chi_l, q * q, chi_r)
+        if b in gated:
+            theta = np.matmul(circuit.gate_for(t, b).matrix, theta)
+        u, s, vh = _svd_cut(theta.reshape(chi_l * q, q * chi_r))
+        p = s * s
+        entropies[b] = entropy_from_probs(p / p.sum())
+        if rightward:
+            vh = s[:, None] * vh
+        else:
+            u = u * s
+        sites[b], sites[b + 1] = u.reshape(chi_l, q, -1), vh.reshape(-1, q, chi_r)
+        _check_capacity(sum(a.size for a in sites))
+    return entropies
+
+
+def evolve(
+    circuit: BrickworkCircuit, initial: PureState | Sequence[np.ndarray], T: int
+) -> EntanglementRecord:
+    """Apply T alternating brickwork layers to an exact matrix-product state,
+    recording bond entropies after each layer; the central-cut flag goes
+    false once 2t + 2 > L.
+
+    ``initial`` is a dense state or its site tensors (chi_l, q, chi_r) with
+    unit outer bonds, as the ``*_sites`` builders give.  Every bond spectrum
+    costs one SVD per layer (see ``_sweep``); singular values at or below
+    SV_CUT times the largest at a cut are dropped, and the amplitude budget
+    counts the entries of the site tensors.
+    """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if initial.dims != (circuit.q,) * circuit.L:
-        raise ValueError(
-            f"initial state dims {initial.dims} do not match circuit "
-            f"(L = {circuit.L}, q = {circuit.q})"
-        )
-    _check_capacity(initial.amplitudes.size)
-    psi = initial.amplitudes.copy()
-    dims = initial.dims
-    profiles = [bond_entropies(initial)]
-    valid = [True]
-    for t in range(1, T + 1):
-        for bond in circuit.layer_bonds(t):
-            u = circuit.gate_for(t, bond)
-            psi = _apply_pair_gate(psi, u.matrix, bond, dims)
-        state = PureState(psi, dims)
-        psi = state.amplitudes  # one copy of the state alive during the sweep
-        profiles.append(bond_entropies(state))
-        valid.append(2 * t + 2 <= circuit.L)
+    sites = _left_canonical(circuit, initial)
     return EntanglementRecord(
         times=tuple(range(T + 1)),
-        profiles=np.array(profiles),
-        light_cone_valid=tuple(valid),
+        profiles=np.array([_sweep(circuit, sites, t) for t in range(T + 1)]),
+        light_cone_valid=tuple(2 * t + 2 <= circuit.L for t in range(T + 1)),
         q=circuit.q,
     )
 

@@ -92,6 +92,10 @@ def _write_atomic(files: dict) -> None:
 
 def _cmd_zigzag(args):
     q, L, T = args.q, args.L, args.steps
+    if T < 2 or L < 6:
+        # the check reads even t >= 2 with 2t + 2 <= L
+        raise ValueError(f"no even t >= 2 lies inside the light cone at --steps {T} "
+                         f"--L {L}: need --steps >= 2 and --L >= 6")
     gate = None
     bond_gates = None
     if args.gate == "mix":
@@ -104,10 +108,10 @@ def _cmd_zigzag(args):
     else:
         gate = load_gate(args.gate, q, args.J, args.b, args.h)
     if args.initial == "dimer":
-        initial = ckt.dimer_state(L, q)
+        initial = ckt.dimer_sites(L, q)
         parity = "odd"  # gates must act at the valleys of the dimer profile
     else:
-        initial = ckt.product_state(L, q)
+        initial = ckt.product_sites(L, q)
         parity = "even"
     if args.first_parity != "auto":
         parity = args.first_parity
@@ -154,16 +158,17 @@ def _cmd_zigzag(args):
 
 def _cmd_kicked_ising(args):
     L, T = args.L, args.steps
+    zig_time = 1 if args.klass == "T" else 2
+    if T < zig_time:
+        raise ValueError(f"--steps {T} ends before the class {args.klass} zigzag "
+                         f"forms at t = {zig_time}")
     u = gates.kicked_ising_gate(args.J, args.b, args.h)
     u0 = gates.kicked_ising_first_gate(args.J, args.h)
     circ = ckt.BrickworkCircuit(L=L, q=2, gate=u, first_layer_override=u0)
     if args.klass == "T":
-        phases = [0.3 * k for k in range(L)]
-        initial = ckt.xy_product_state(L, phases)
-        zig_time = 1
+        initial = ckt.xy_product_sites(L, [0.3 * k for k in range(L)])
     else:
-        initial = ckt.z_product_state(L, [k % 2 for k in range(L)])
-        zig_time = 2
+        initial = ckt.z_product_sites(L, [k % 2 for k in range(L)])
     rec = ckt.evolve(circ, initial, T)
     ln2 = math.log(2)
     ok_zig, parity = ckt.zigzag_check(rec.profiles[zig_time], 2, tol=1e-9)

@@ -34,6 +34,12 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = (_X, _Y, _Z)
+#: exp(-i pi/4 sigma): applied to both sites, it exchanges two Cartan axes
+_AXIS_SWAP = {
+    (0, 1): scipy.linalg.expm(-1j * QUARTER * _Z),
+    (1, 2): scipy.linalg.expm(-1j * QUARTER * _X),
+    (0, 2): scipy.linalg.expm(-1j * QUARTER * _Y),
+}
 
 # columns are the Bell-like basis in which two-qubit interactions
 # exp(-i sum J sigma sigma) are diagonal and one-site unitaries are real
@@ -365,15 +371,9 @@ def cartan_decompose(g: Gate) -> CartanData:
         u3 = s @ u3
         u4 = s @ u4
 
-    swap_c = {
-        (0, 1): scipy.linalg.expm(-1j * QUARTER * _Z),
-        (1, 2): scipy.linalg.expm(-1j * QUARTER * _X),
-        (0, 2): scipy.linalg.expm(-1j * QUARTER * _Y),
-    }
-
     def swap_axes(i, j):
         nonlocal u1, u2, u3, u4
-        c = swap_c[(min(i, j), max(i, j))]
+        c = _AXIS_SWAP[(min(i, j), max(i, j))]
         u1 = u1 @ c.conj().T
         u2 = u2 @ c.conj().T
         u3 = c @ u3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_capacity
+from .circuit import _check_capacity, contract_chain
 from .gates import haar_unitary
 from .qinfo import PureState, entropy_from_probs, marginal_probs, unitarity_defect
 
@@ -109,11 +109,7 @@ def _contract(pair: MPSPair, n_cells: int, t: np.ndarray) -> np.ndarray:
     the physical legs so far (a-major), columns the open bond."""
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    q = pair.q
-    for _ in range(n_cells):
-        t = np.einsum("pc,icd->pid", t, pair.A).reshape(t.shape[0] * q, -1)
-        t = np.einsum("pc,jcb->pjb", t, pair.B).reshape(t.shape[0] * q, -1)
-    return t
+    return contract_chain(t, [pair.A.transpose(1, 0, 2), pair.B.transpose(1, 0, 2)] * n_cells)
 
 
 def dense_state(pair: MPSPair, n_cells: int) -> PureState:

@@ -177,6 +177,25 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert "DULAB_MAX_AMPLITUDES must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["kicked-ising", "--class", "L", "--L", "8", "--steps", "1"],
+         "--steps 1 ends before the class L zigzag forms at t = 2"),
+        (["kicked-ising", "--class", "T", "--L", "8", "--steps", "0"],
+         "--steps 0 ends before the class T zigzag forms at t = 1"),
+        (["zigzag", "--q", "2", "--L", "8", "--steps", "1", "--gate", "swap", "--assert"],
+         "need --steps >= 2 and --L >= 6"),
+        (["zigzag", "--q", "2", "--L", "4", "--steps", "4", "--gate", "swap", "--assert"],
+         "need --steps >= 2 and --L >= 6"),
+    ])
+    def test_run_without_a_checked_time_exits_2(self, argv, message, tmp_path, capsys):
+        # a run whose pass criterion would read no time step is a usage error
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--out", str(out)])
+        assert e.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: one small run per subcommand; haar-fidelity at q = 2 misses its target
 RUNNER_CASES = {

@@ -1,6 +1,6 @@
 """Property tests of the dual-unitarity identities, the gate-validation edge,
-the Cartan chamber walls, the deficit-vs-defect scan and the four-party
-bounds near Bell (x) Bell.
+the Cartan chamber walls, the deficit-vs-defect scan, the four-party
+bounds near Bell (x) Bell and the exact MPS brickwork against dense evolution.
 
 Runs are derandomized with a bounded example count, so the suite draws the
 same examples on every run.
@@ -13,7 +13,16 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_pure
-from dulab.circuit import four_party_report
+from dulab.circuit import (
+    BrickworkCircuit,
+    bond_entropies,
+    dimer_sites,
+    evolve,
+    four_party_report,
+    initial_state,
+    product_sites,
+    zigzag_check,
+)
 from dulab.ensemble import NOISE_FLOOR, eps_delta_scan, random_hermitian_direction
 from dulab.gates import (
     CHAMBER_WALL,
@@ -29,6 +38,7 @@ from dulab.gates import (
     haar_gate,
     haar_unitary,
     interaction_gate,
+    kicked_ising_gate,
     nearest_dual_q2,
     reshuffle,
     swap_gate,
@@ -60,9 +70,11 @@ DUAL_BASES = {
 
 
 @st.composite
-def dressed_duals(draw):
-    """(a (x) b) u (c (x) d) for a dual-unitary u and Haar one-site factors."""
-    base = DUAL_BASES[draw(st.sampled_from(sorted(DUAL_BASES)))]
+def dressed_duals(draw, q=None):
+    """(a (x) b) u (c (x) d) for a dual-unitary u (on qudits of dimension q,
+    when given) and Haar one-site factors."""
+    names = sorted(k for k, g in DUAL_BASES.items() if q in (None, g.q))
+    base = DUAL_BASES[draw(st.sampled_from(names))]
     q = base.q
     a, b, c, d = (haar_unitary(q, draw(seeds)) for _ in range(4))
     return Gate(q, np.kron(a, b) @ base.matrix @ np.kron(c, d))
@@ -284,3 +296,92 @@ def test_four_party_bounds_near_bell_pairs(g, theta, seed, weight, state_seed):
     assert rep.all_hold(slack=1e-9), rep.inequality_checks(slack=1e-9)
     for field, want in dense_audit_entropies(u, state).items():
         assert abs(getattr(rep, field) - want) <= 1e-12, field
+
+
+# ---------------------------------------------------------------------------
+# the exact MPS brickwork against dense evolution
+# ---------------------------------------------------------------------------
+
+def dense_evolve(circuit: BrickworkCircuit, state: PureState, T: int) -> np.ndarray:
+    """Bond profiles after each of T layers from the dense state vector."""
+    profiles = [bond_entropies(state)]
+    for t in range(1, T + 1):
+        for b in circuit.layer_bonds(t):
+            state = apply_unitary(state, circuit.gate_for(t, b).matrix, (b, b + 1))
+        profiles.append(bond_entropies(state))
+    return np.array(profiles)
+
+
+@st.composite
+def brickworks(draw, sizes):
+    """A brickwork circuit with its own Haar or dressed dual gate on every bond."""
+    q, L = draw(st.sampled_from(sizes))
+    bond_gate = st.builds(haar_gate, st.just(q), seeds) | dressed_duals(q)
+    gates_ = {b: draw(bond_gate) for b in range(L - 1)}
+    return BrickworkCircuit(L=L, q=q, gate=gates_[0], bond_gates=gates_,
+                            first_parity=draw(st.sampled_from(("even", "odd"))))
+
+
+ORACLE_SIZES = tuple((q, L) for q in (2, 3) for L in range(4, 13, 2))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(brickworks(ORACLE_SIZES), st.integers(1, 4), seeds)
+def test_mps_evolve_matches_dense_oracle(circuit, T, seed):
+    state = random_pure((circuit.q,) * circuit.L, seed=seed)
+    want = dense_evolve(circuit, state, T)
+    assert np.abs(evolve(circuit, state, T).profiles - want).max() <= 1e-12
+
+
+def planted_state(q: int, L: int, cut: int, small, seed: int) -> PureState:
+    """A random state whose Schmidt weights at ``cut`` are 1 - sum(small)
+    and the listed small weights, and no others."""
+    rng = np.random.default_rng(seed)
+    p = np.array([1.0 - sum(small), *small])
+
+    def frame(d):
+        z = rng.standard_normal((d, len(p))) + 1j * rng.standard_normal((d, len(p)))
+        return np.linalg.qr(z)[0]
+
+    m = (frame(q ** (cut + 1)) * np.sqrt(p)) @ frame(q ** (L - cut - 1)).T
+    return PureState(m.reshape(-1), (q,) * L)
+
+
+EDGE_SIZES = ((2, 6), (2, 8), (3, 6))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(brickworks(EDGE_SIZES), st.integers(1, 3), st.data())
+def test_mps_truncation_edge_matches_dense_oracle(circuit, T, data):
+    # exact zero Schmidt weights (dimer, product) and weights of 1e-15 ... 1e-12
+    # of the largest: the singular-value cut drops only the zeros
+    q, L = circuit.q, circuit.L
+    kind = data.draw(st.sampled_from(("dimer", "product", "planted")))
+    if kind == "planted":
+        cut = data.draw(st.integers(1, L - 3))
+        small = data.draw(st.lists(log_uniform(1e-15, 1e-12), min_size=1, max_size=3))
+        state = planted_state(q, L, cut, small, data.draw(seeds))
+        inputs = (state,)
+    else:
+        state = initial_state(kind, L, q)
+        inputs = (state, dimer_sites(L, q) if kind == "dimer" else product_sites(L, q))
+    want = dense_evolve(circuit, state, T)
+    for initial in inputs:
+        profiles = evolve(circuit, initial, T).profiles
+        assert np.abs(profiles - want).max() <= 1e-12
+    if kind == "planted":
+        p = np.array([1.0 - sum(small), *small])
+        assert abs(profiles[0, cut] + (p * np.log(p)).sum()) <= 1e-12
+
+
+def test_zigzag_relay_at_forty_sites():
+    # 2^40 amplitudes are far over the budget; the bond dimension stays at 2^7 here
+    L = 40
+    kim = kicked_ising_gate(QUARTER, QUARTER, 0.3)
+    circ = BrickworkCircuit(L=L, q=2, gate=kim, first_parity="odd")
+    rec = evolve(circ, dimer_sites(L, 2), 6)
+    central = rec.central_series()
+    for t in (2, 4, 6):
+        assert central[t] == pytest.approx(t * math.log(2), abs=1e-9)
+        ok, _ = zigzag_check(rec.profiles[t][t:L - 1 - t], 2, tol=1e-9)
+        assert ok
