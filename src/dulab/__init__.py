@@ -36,11 +36,10 @@ from .circuit import (
     EntanglementRecord,
     FourPartyReport,
     bond_entropies,
-    dimer_state,
+    dimer_sites,
     estimate_vE,
     evolve,
     four_party_report,
-    initial_state,
     reconstruct_distillable,
     zigzag_check,
 )

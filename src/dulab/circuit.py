@@ -71,8 +71,7 @@ def _check_capacity(n_amplitudes: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# initial states: site tensors (chi_l, q, chi_r) with unit outer bonds, and
-# the dense states that contract them
+# initial states: site tensors (chi_l, q, chi_r) with unit outer bonds
 # ---------------------------------------------------------------------------
 
 def contract_chain(t: np.ndarray, sites: Sequence[np.ndarray]) -> np.ndarray:
@@ -81,13 +80,6 @@ def contract_chain(t: np.ndarray, sites: Sequence[np.ndarray]) -> np.ndarray:
     for a in sites:
         t = np.einsum("pc,cid->pid", t, a).reshape(-1, a.shape[2])
     return t
-
-
-def contract_sites(sites: Sequence[np.ndarray]) -> PureState:
-    """Dense state of a chain of site tensors; the q^L result is budgeted."""
-    dims = tuple(a.shape[1] for a in sites)
-    _check_capacity(int(np.prod(dims)))
-    return PureState(contract_chain(np.ones((1, 1), dtype=complex), sites), dims)
 
 
 def product_sites(L: int, q: int, site_states: Sequence[np.ndarray] | None = None) -> list:
@@ -125,50 +117,6 @@ def z_product_sites(L: int, bits: Sequence[int] | None = None) -> list:
     if bits is None:
         bits = [0] * L
     return product_sites(L, 2, [np.eye(2)[int(b)] for b in bits])
-
-
-# the dense forms of the named states
-def product_state(L: int, q: int, site_states: Sequence[np.ndarray] | None = None) -> PureState:
-    return contract_sites(product_sites(L, q, site_states))
-
-
-def dimer_state(L: int, q: int) -> PureState:
-    return contract_sites(dimer_sites(L, q))
-
-
-def xy_product_state(L: int, phases: Sequence[float] | None = None) -> PureState:
-    return contract_sites(xy_product_sites(L, phases))
-
-
-def z_product_state(L: int, bits: Sequence[int] | None = None) -> PureState:
-    return contract_sites(z_product_sites(L, bits))
-
-
-def initial_state(kind: str, L: int, q: int, **params) -> PureState:
-    """Named initial states: product, dimer, xy, z, or an explicit vector."""
-    kind = kind.lower()
-    if kind == "product":
-        return product_state(L, q, params.get("site_states"))
-    if kind == "dimer":
-        return dimer_state(L, q)
-    if kind == "xy":
-        if q != 2:
-            raise ValueError("xy product states are defined for q = 2")
-        return xy_product_state(L, params.get("phases"))
-    if kind == "z":
-        if q != 2:
-            raise ValueError("z product states are defined for q = 2")
-        return z_product_state(L, params.get("bits"))
-    if kind == "vector":
-        vec = params.get("vector")
-        if vec is None:
-            raise ValueError("kind='vector' needs vector=...")
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise ValueError("explicit vector must be nonzero")
-        return PureState(vec / nrm, (q,) * L)
-    raise ValueError(f"unknown initial state kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +185,6 @@ class EntanglementRecord:
     @property
     def L(self) -> int:
         return self.profiles.shape[1] + 1
-
-    def profile(self, t: int) -> np.ndarray:
-        return self.profiles[self.times.index(t)]
 
     def central_cut(self) -> int:
         return self.L // 2 - 1

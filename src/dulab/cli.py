@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -352,6 +353,9 @@ def _cmd_project_dual(args):
 
 
 def _cmd_scan_eps_delta(args):
+    if args.theta_min >= args.theta_max:
+        raise ValueError(f"--theta-min {args.theta_min!r} must be below "
+                         f"--theta-max {args.theta_max!r}")
     base = load_gate(args.base, args.q, args.J, args.b, args.h)
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))
@@ -426,6 +430,19 @@ def _positive(text: str) -> float:
     return x
 
 
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
+        return n
+    return parse
+
+
 def _add_common(p, seed_required=False, fmt=None):
     p.add_argument("--out", help="output file (atomic write); stdout if omitted")
     p.add_argument("--assert", dest="do_assert", action="store_true",
@@ -443,7 +460,10 @@ def _add_gate_params(p):
     p.add_argument("--h", type=_finite, default=0.0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dulab`` parser, built once per process: every default it holds
+    is immutable, so parses never share state."""
     ap = argparse.ArgumentParser(
         prog="dulab",
         description="Entanglement-growth and dual-unitarity experiments on brickwork circuits.",
@@ -475,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mps", help="solvable matrix product state checks")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--chi", type=int, default=2)
-    p.add_argument("--cells", type=int, default=3)
+    p.add_argument("--cells", type=_at_least(1), default=3)
     p.add_argument("--load", help="load an MPS pair from a JSON file instead of sampling")
     p.add_argument("--save", help="save the pair to a JSON file (written with --out)")
     p.add_argument("--bits", action="store_true")
@@ -494,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalan", help="Haar purity moments against Catalan targets")
     p.add_argument("--q", type=int, default=16)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--n", type=int, nargs="+", default=[2, 3], choices=(2, 3, 4))
+    p.add_argument("--n", type=int, nargs="+", default=(2, 3), choices=(2, 3, 4))
     _add_common(p, seed_required=True)
     p.set_defaults(func=_cmd_catalan)
 
@@ -510,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project-dual", help="iterative projection onto the dual-unitary set")
     p.add_argument("--gate", default="haar", help="haar | named gate | file path")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=_finite, default=1e-10)
+    p.add_argument("--max-iters", type=_at_least(0), default=200)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--seed", type=int, help="seed (required with --gate haar)")
     _add_gate_params(p)
     _add_common(p)
@@ -522,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--theta-min", type=_positive, default=1e-3)
     p.add_argument("--theta-max", type=_positive, default=1e-1)
-    p.add_argument("--points", type=int, default=9)
+    p.add_argument("--points", type=_at_least(3), default=9)
     _add_gate_params(p)
     _add_common(p, seed_required=True, fmt="csv")
     p.set_defaults(func=_cmd_scan_eps_delta)

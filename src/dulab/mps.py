@@ -104,33 +104,17 @@ def transfer_gap(pair: MPSPair) -> float:
     return float(1.0 - abs(ev[np.argsort(-np.abs(ev))][1]))
 
 
-def _contract(pair: MPSPair, n_cells: int, t: np.ndarray) -> np.ndarray:
-    """Append n_cells unit cells A B to t: rows carry the left boundary and
-    the physical legs so far (a-major), columns the open bond."""
+def dense_state_with_environment(pair: MPSPair, n_cells: int) -> PureState:
+    """Contract n_cells unit cells A B, keeping the two chi-dimensional bond
+    legs as boundary subsystems; for a solvable pair the left/right
+    environments are then exactly the transfer fixed points, so interior cuts
+    carry no boundary effects at any length."""
+    q, chi = pair.q, pair.chi
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    return contract_chain(t, [pair.A.transpose(1, 0, 2), pair.B.transpose(1, 0, 2)] * n_cells)
-
-
-def dense_state(pair: MPSPair, n_cells: int) -> PureState:
-    """Contract ...A B A B... between uniform 1/sqrt(chi) boundary vectors,
-    the weights of the transfer fixed points, and normalize."""
-    q, chi = pair.q, pair.chi
-    _check_capacity(q ** (2 * n_cells) * pair.chi_prime)
-    edge = np.full(chi, 1.0 / math.sqrt(chi), dtype=complex)
-    v = _contract(pair, n_cells, edge.reshape(1, chi)) @ edge
-    v = v / np.linalg.norm(v)
-    return PureState(v, (q,) * (2 * n_cells))
-
-
-def dense_state_with_environment(pair: MPSPair, n_cells: int) -> PureState:
-    """Dense realization keeping the two chi-dimensional bond legs as
-    boundary subsystems; for a solvable pair the left/right environments are
-    then exactly the transfer fixed points, so interior cuts carry no
-    boundary effects at any length."""
-    q, chi = pair.q, pair.chi
     _check_capacity(q ** (2 * n_cells) * chi * chi)
-    v = _contract(pair, n_cells, np.eye(chi, dtype=complex)).reshape(-1)
+    cells = [pair.A.transpose(1, 0, 2), pair.B.transpose(1, 0, 2)] * n_cells
+    v = contract_chain(np.eye(chi, dtype=complex), cells).reshape(-1)
     v = v / np.linalg.norm(v)
     return PureState(v, (chi,) + (q,) * (2 * n_cells) + (chi,))
 

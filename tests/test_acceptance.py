@@ -14,12 +14,12 @@ from dulab import ensemble, gates, mps
 from dulab.circuit import (
     BrickworkCircuit,
     bond_entropies,
-    dimer_state,
+    dimer_sites,
     evolve,
     four_party_report,
     reconstruct_distillable,
-    xy_product_state,
-    z_product_state,
+    xy_product_sites,
+    z_product_sites,
 )
 from dulab.gates import (
     Gate,
@@ -65,7 +65,7 @@ def _criterion1_records():
         "mix": BrickworkCircuit(L=L, q=2, gate=swap_gate(2), first_parity="odd",
                                 bond_gates=_mix_bond_gates(L)),
     }
-    initial = dimer_state(L, 2)
+    initial = dimer_sites(L, 2)
     return {name: evolve(c, initial, 6) for name, c in circuits.items()}
 
 
@@ -92,18 +92,18 @@ def test_criterion_2_per_gate_bound():
     extra = [
         (BrickworkCircuit(L=L, q=2, gate=kim,
                           first_layer_override=kicked_ising_first_gate(QUARTER, 0.3)),
-         xy_product_state(L, [0.2 * k for k in range(L)]), 6),
+         xy_product_sites(L, [0.2 * k for k in range(L)]), 6),
         (BrickworkCircuit(L=L, q=2, gate=kim,
                           first_layer_override=kicked_ising_first_gate(QUARTER, 0.3)),
-         z_product_state(L, [k % 2 for k in range(L)]), 6),
+         z_product_sites(L, [k % 2 for k in range(L)]), 6),
         (BrickworkCircuit(L=10, q=2, gate=haar_gate(2, 101), first_parity="odd"),
-         dimer_state(10, 2), 4),
+         dimer_sites(10, 2), 4),
         (BrickworkCircuit(L=10, q=2, gate=fourier_gate(2)),
          random_pure((2,) * 10, seed=55), 4),
         (BrickworkCircuit(L=8, q=2, gate=cz_gate(2)),
          random_pure((2,) * 8, seed=56), 4),
         (BrickworkCircuit(L=8, q=3, gate=haar_gate(3, 102)),
-         dimer_state(8, 3), 3),
+         dimer_sites(8, 3), 3),
     ]
     worst_ratio = 0.0
     for circ, init, T in extra:
@@ -126,10 +126,10 @@ def test_criterion_3_separating_states():
 
     from dulab.circuit import zigzag_check
 
-    rec_t = evolve(circ, xy_product_state(L, [0.37 * k for k in range(L)]), 6)
+    rec_t = evolve(circ, xy_product_sites(L, [0.37 * k for k in range(L)]), 6)
     ok_t, _ = zigzag_check(rec_t.profiles[1], 2, tol=1e-9)
 
-    rec_l = evolve(circ, z_product_state(L, [k % 3 == 0 for k in range(L)]), 6)
+    rec_l = evolve(circ, z_product_sites(L, [k % 3 == 0 for k in range(L)]), 6)
     ok_l, _ = zigzag_check(rec_l.profiles[2], 2, tol=1e-9)
 
     growth_ok = True

@@ -8,15 +8,14 @@ from dulab.circuit import (
     BrickworkCircuit,
     CapacityError,
     bond_entropies,
-    dimer_state,
+    dimer_sites,
     estimate_vE,
     evolve,
     four_party_report,
-    initial_state,
-    product_state,
+    product_sites,
     reconstruct_distillable,
-    xy_product_state,
-    z_product_state,
+    xy_product_sites,
+    z_product_sites,
     zigzag_check,
 )
 from dulab.gates import (
@@ -35,39 +34,36 @@ LN2 = math.log(2.0)
 QUARTER = math.pi / 4
 
 
+def input_profile(sites) -> np.ndarray:
+    """Bond profile of a named initial state as ``evolve`` records it at t = 0."""
+    L, q = len(sites), sites[0].shape[1]
+    return evolve(BrickworkCircuit(L=L, q=q, gate=identity_gate(q)), sites, 1).profiles[0]
+
+
 class TestInitialStates:
     def test_dimer_profile(self):
-        prof = bond_entropies(dimer_state(8, 2))
+        prof = input_profile(dimer_sites(8, 2))
         want = [LN2, 0, LN2, 0, LN2, 0, LN2]
         assert np.allclose(prof, want, atol=1e-12)
 
     def test_product_profile_zero(self):
-        prof = bond_entropies(product_state(6, 2))
+        prof = input_profile(product_sites(6, 2))
         assert np.allclose(prof, 0, atol=1e-12)
 
     def test_xy_product_is_product(self):
-        prof = bond_entropies(xy_product_state(6, phases=[0.1 * k for k in range(6)]))
+        prof = input_profile(xy_product_sites(6, phases=[0.1 * k for k in range(6)]))
         assert np.allclose(prof, 0, atol=1e-12)
 
     def test_z_product_is_product(self):
-        prof = bond_entropies(z_product_state(6, bits=[0, 1, 1, 0, 1, 0]))
+        prof = input_profile(z_product_sites(6, bits=[0, 1, 1, 0, 1, 0]))
         assert np.allclose(prof, 0, atol=1e-12)
 
-    def test_initial_state_dispatch(self):
-        assert initial_state("dimer", 4, 2).dims == (2, 2, 2, 2)
-        assert initial_state("product", 4, 3).dims == (3, 3, 3, 3)
-        with pytest.raises(ValueError, match="unknown"):
-            initial_state("nope", 4, 2)
-
-    def test_explicit_vector_normalized(self):
-        psi = initial_state("vector", 2, 2, vector=[2, 0, 0, 2])
-        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
-        assert bond_entropies(psi)[0] == pytest.approx(LN2, abs=1e-12)
-
     def test_capacity_guard(self, monkeypatch):
+        # the site tensors of a swap relay outgrow the budget within one layer
         monkeypatch.setenv(ckt.CAPACITY_ENV, "100")
-        with pytest.raises(CapacityError):
-            product_state(10, 2)
+        circ = BrickworkCircuit(L=12, q=2, gate=swap_gate(2), first_parity="odd")
+        with pytest.raises(CapacityError, match="exceeds the budget 100"):
+            evolve(circ, dimer_sites(12, 2), 4)
 
 
 class TestBondEntropies:
@@ -90,7 +86,7 @@ class TestEvolve:
     def test_swap_dimer_central_growth(self):
         L = 12
         circ = BrickworkCircuit(L=L, q=2, gate=swap_gate(2), first_parity="odd")
-        rec = evolve(circ, dimer_state(L, 2), 4)
+        rec = evolve(circ, dimer_sites(L, 2), 4)
         central = rec.central_series()
         for t in (2, 4):
             assert central[t] == pytest.approx(t * LN2, abs=1e-9)
@@ -109,7 +105,7 @@ class TestEvolve:
         circ = BrickworkCircuit(
             L=L, q=2, gate=u, first_layer_override=kicked_ising_first_gate(QUARTER, 0.3)
         )
-        rec = evolve(circ, z_product_state(L, bits=[k % 2 for k in range(L)]), 6)
+        rec = evolve(circ, z_product_sites(L, bits=[k % 2 for k in range(L)]), 6)
         ok, parity = zigzag_check(rec.profiles[2], 2, tol=1e-9)
         assert ok and parity == "even"
         central = rec.central_series()
@@ -120,7 +116,7 @@ class TestEvolve:
     def test_light_cone_flag(self):
         L = 8
         circ = BrickworkCircuit(L=L, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_state(L, 2), 4)
+        rec = evolve(circ, dimer_sites(L, 2), 4)
         # 2t + 2 <= L = 8 -> valid through t = 3
         assert rec.light_cone_valid == (True, True, True, True, False)
 
@@ -132,7 +128,7 @@ class TestEvolve:
             (fourier_gate(2), "odd"),
         ]:
             circ = BrickworkCircuit(L=L, q=2, gate=gate, first_parity=parity)
-            rec = evolve(circ, dimer_state(L, 2), 4)
+            rec = evolve(circ, dimer_sites(L, 2), 4)
             assert rec.max_step_increase() <= 2 * LN2 + 1e-9
 
     def test_gate_resolution_precedence(self):
@@ -154,7 +150,7 @@ class TestEvolve:
 
     def test_record_csv(self, tmp_path):
         circ = BrickworkCircuit(L=4, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_state(4, 2), 1)
+        rec = evolve(circ, dimer_sites(4, 2), 1)
         path = tmp_path / "rec.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             rec.to_csv(fh)
@@ -167,33 +163,33 @@ class TestEstimateVE:
     def test_dual_circuit_velocity_one(self):
         L = 16
         circ = BrickworkCircuit(L=L, q=2, gate=swap_gate(2), first_parity="odd")
-        rec = evolve(circ, dimer_state(L, 2), 6)
+        rec = evolve(circ, dimer_sites(L, 2), 6)
         v, resid = estimate_vE(rec, rec.central_cut(), [2, 4, 6])
         assert v == pytest.approx(1.0, abs=1e-9)
         assert resid <= 1e-9
 
     def test_identity_velocity_zero(self):
         circ = BrickworkCircuit(L=12, q=2, gate=identity_gate(2))
-        rec = evolve(circ, dimer_state(12, 2), 4)
+        rec = evolve(circ, dimer_sites(12, 2), 4)
         v, resid = estimate_vE(rec, rec.central_cut(), [1, 2, 3, 4])
         assert v == pytest.approx(0.0, abs=1e-10)
 
     def test_haar_velocity_in_unit_interval(self):
         circ = BrickworkCircuit(L=12, q=2, gate=haar_gate(2, 11), first_parity="odd")
-        rec = evolve(circ, dimer_state(12, 2), 4)
+        rec = evolve(circ, dimer_sites(12, 2), 4)
         v, _ = estimate_vE(rec, rec.central_cut(), [2, 3, 4])
         print(f"\nhaar fixed-gate circuit vE estimate: {v:.4f}")
         assert 0.0 < v <= 1.0 + 1e-9
 
     def test_window_too_short(self):
         circ = BrickworkCircuit(L=8, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_state(8, 2), 3)
+        rec = evolve(circ, dimer_sites(8, 2), 3)
         with pytest.raises(ValueError, match="at least 3"):
             estimate_vE(rec, 3, [1, 2])
 
     def test_window_outside_light_cone(self):
         circ = BrickworkCircuit(L=8, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_state(8, 2), 4)
+        rec = evolve(circ, dimer_sites(8, 2), 4)
         with pytest.raises(ValueError, match="light-cone"):
             estimate_vE(rec, 3, [2, 3, 4])
 
@@ -218,7 +214,7 @@ class TestZigzag:
             L=L, q=2, gate=kicked_ising_gate(QUARTER, QUARTER, 0.4),
             first_layer_override=u0,
         )
-        rec = evolve(circ, xy_product_state(L, phases=[0.2 * k for k in range(L)]), 1)
+        rec = evolve(circ, xy_product_sites(L, phases=[0.2 * k for k in range(L)]), 1)
         ok, parity = zigzag_check(rec.profiles[1], 2, tol=1e-9)
         assert ok and parity == "odd"
 
@@ -237,7 +233,7 @@ class TestZigzagRelay:
         circ = BrickworkCircuit(
             L=L, q=2, gate=fourier_gate(2), first_parity="odd", bond_gates=bond_gates
         )
-        rec = evolve(circ, dimer_state(L, 2), 3)
+        rec = evolve(circ, dimer_sites(L, 2), 3)
         # interior window away from the light cones of the two boundaries
         for t in (1, 2, 3):
             lo, hi = t, (L - 1) - t
@@ -252,7 +248,7 @@ class TestZigzagRelay:
         circ = BrickworkCircuit(
             L=L, q=2, gate=kicked_ising_gate(QUARTER, QUARTER, 0.3), first_parity="odd"
         )
-        rec = evolve(circ, dimer_state(L, 2), 6)
+        rec = evolve(circ, dimer_sites(L, 2), 6)
         central = rec.central_series()
         for t in (2, 4, 6):
             assert central[t] == pytest.approx(t * LN2, abs=1e-9)

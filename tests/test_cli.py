@@ -118,6 +118,16 @@ class TestUsageErrors:
          "argument --b: must be finite, got '-inf'"),
         (["kicked-ising", "--class", "T", "--h", "x"],
          "argument --h: expected a number, got 'x'"),
+        (["project-dual", "--gate", "swap", "--max-iters", "-5"],
+         "argument --max-iters: must be >= 0, got '-5'"),
+        (["project-dual", "--gate", "swap", "--tol", "-1"],
+         "argument --tol: must be > 0, got '-1'"),
+        (["scan-eps-delta", "--seed", "1", "--theta-min", "0.01", "--theta-max", "0.01"],
+         "--theta-min 0.01 must be below --theta-max 0.01"),
+        (["scan-eps-delta", "--seed", "1", "--points", "1"],
+         "argument --points: must be >= 3, got '1'"),
+        (["mps", "--seed", "5", "--cells", "0"],
+         "argument --cells: must be >= 1, got '0'"),
     ])
     def test_bad_float_flag_exits_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -176,6 +186,21 @@ class TestUsageErrors:
             run(["zigzag", "--q", "2", "--L", "8", "--steps", "2"])
         assert e.value.code == 2
         assert "DULAB_MAX_AMPLITUDES must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["zigzag", "--q", "2", "--L", "12", "--steps", "4", "--gate", "swap"],
+        ["mps", "--seed", "5"],
+    ])
+    def test_amplitude_budget_exceeded_exits_2(self, argv, monkeypatch, tmp_path, capsys):
+        # the zigzag site tensors outgrow the budget within its first layers;
+        # the mps realization holds 2^6 * 2^2 = 256 amplitudes
+        monkeypatch.setenv("DULAB_MAX_AMPLITUDES", "100")
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--out", str(out)])
+        assert e.value.code == 2
+        assert "exceeds the budget 100 (override via DULAB_MAX_AMPLITUDES)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["kicked-ising", "--class", "L", "--L", "8", "--steps", "1"],

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from dulab import mps
-from dulab.circuit import BrickworkCircuit, bond_entropies, evolve
+from dulab.circuit import CAPACITY_ENV, BrickworkCircuit, CapacityError, bond_entropies, evolve
 from dulab.gates import kicked_ising_gate, swap_gate
-from dulab.qinfo import entropy_from_probs
+from dulab.qinfo import PureState, entropy_from_probs
 from dulab.mps import (
     MPSPair,
     combined_tensor,
     cut_entropies_exact,
-    dense_state,
     dense_state_with_environment,
     interior_cut_probs,
     load_mps,
@@ -69,28 +68,32 @@ class TestRandomSolvable:
 class TestDenseState:
     def test_normalized(self):
         pair = random_solvable(2, 2, seed=3)
-        psi = dense_state(pair, 3)
+        psi = dense_state_with_environment(pair, 3)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi1_profile_matches_svd_oracle(self):
         pair = random_solvable(2, 1, seed=9)
-        psi = dense_state(pair, 3)
+        psi = dense_state_with_environment(pair, 3)
+        assert psi.dims == (1,) + (2,) * 6 + (1,)
         prof = bond_entropies(psi)
-        # chi = 1: cells are isolated entangled pairs -> exact zigzag
+        # chi = 1: cells are isolated entangled pairs -> exact zigzag, and
+        # the cuts next to the dimension-1 environment legs carry nothing
         for b in range(len(prof)):
-            want = math.log(2) if b % 2 == 0 else 0.0
+            want = math.log(2) if b % 2 == 1 else 0.0
             assert prof[b] == pytest.approx(want, abs=1e-10)
 
-    def test_two_site_shift_interior_deviation_logged(self):
-        pair = random_solvable(2, 2, seed=13)
-        prof_a = bond_entropies(dense_state(pair, 5))
-        prof_b = bond_entropies(dense_state(pair, 6))
-        # compare the central region of both chains, aligned on cell boundaries
-        mid_a = prof_a[4:6]
-        mid_b = prof_b[6:8]
-        dev = float(np.abs(mid_a - mid_b).max())
-        print(f"\ninterior deviation under a two-site shift: {dev:.3e}")
-        assert dev < 0.2  # boundary effects only
+    def test_needs_a_cell(self):
+        with pytest.raises(ValueError, match="n_cells must be >= 1"):
+            dense_state_with_environment(random_solvable(2, 2, seed=3), 0)
+
+    def test_capacity_guard(self, monkeypatch):
+        # q^(2 n_cells) chi^2 = 2^6 * 4 = 256 amplitudes
+        pair = random_solvable(2, 2, seed=5)
+        monkeypatch.setenv(CAPACITY_ENV, "255")
+        with pytest.raises(CapacityError, match="state of 256 amplitudes exceeds the budget 255"):
+            interior_cut_probs(pair, 3)
+        monkeypatch.setenv(CAPACITY_ENV, "256")
+        interior_cut_probs(pair, 3)
 
 
 class TestCutEntropies:
@@ -157,7 +160,8 @@ class TestEvolveIntegration:
         # chi = 1 solvable MPS is an exact zigzag state; dual circuit grows
         # the central cut by 2 ln q per two layers inside the light cone
         pair = random_solvable(2, 1, seed=21)
-        psi = dense_state(pair, 5)  # 10 qubits, valleys on odd bonds
+        # 10 qubits, valleys on odd bonds, once the unit environment legs go
+        psi = PureState(dense_state_with_environment(pair, 5).amplitudes, (2,) * 10)
         circ = BrickworkCircuit(L=10, q=2, gate=swap_gate(2), first_parity="odd")
         rec = evolve(circ, psi, 4)
         central = rec.central_series()

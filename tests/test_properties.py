@@ -1,6 +1,7 @@
 """Property tests of the dual-unitarity identities, the gate-validation edge,
-the Cartan chamber walls, the deficit-vs-defect scan, the four-party
-bounds near Bell (x) Bell and the exact MPS brickwork against dense evolution.
+the Cartan chamber walls and eigenvalue clustering, the deficit-vs-defect
+scan, the four-party bounds near Bell (x) Bell and the exact MPS brickwork
+against dense evolution.
 
 Runs are derandomized with a bounded example count, so the suite draws the
 same examples on every run.
@@ -16,10 +17,10 @@ from conftest import random_pure
 from dulab.circuit import (
     BrickworkCircuit,
     bond_entropies,
+    contract_chain,
     dimer_sites,
     evolve,
     four_party_report,
-    initial_state,
     product_sites,
     zigzag_check,
 )
@@ -223,6 +224,50 @@ def test_cartan_chamber_on_dressed_swap_cz_iswap(g):
     check_cartan(g)
 
 
+#: coefficient coincidences around the 1e-7 real-part clustering of the m^T m
+#: spectrum in cartan_decompose, and below it, where the Jacobi polish works
+CLUSTER_DISTANCES = (0.0, 1e-13, 1e-10, 1e-8, 1e-7 * (1 - 1e-3), 1e-7 * (1 + 1e-3), 1e-5)
+
+
+@st.composite
+def coinciding_gates(draw, distance: float):
+    """A dressed interaction gate whose coefficients coincide up to
+    ``distance``, to one side or the other: Jx = Jy, Jy = |Jz|,
+    Jx = pi/4 = Jy, or J = 0; the free coefficients lie anywhere below."""
+    def near(value: float) -> float:
+        return value - draw(signs) * distance
+
+    def below(value: float) -> float:
+        return value * draw(st.floats(0.0, 1.0))
+
+    kind = draw(st.sampled_from(("x=y", "y=|z|", "x=y=pi/4", "J=0")))
+    if kind == "x=y":
+        x = below(QUARTER)
+        y = near(x)
+        z = draw(signs) * below(y)
+    elif kind == "y=|z|":
+        x = below(QUARTER)
+        y = below(x)
+        z = draw(signs) * near(y)
+    elif kind == "x=y=pi/4":
+        x, y = near(QUARTER), near(QUARTER)
+        z = draw(signs) * below(min(x, y))
+    else:
+        x, y, z = (draw(signs) * below(distance) for _ in range(3))
+    return dressed(interaction_gate(x, y, z), draw)
+
+
+@pytest.mark.parametrize("distance", CLUSTER_DISTANCES)
+def test_cartan_at_eigenvalue_clustering_edge(distance):
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(coinciding_gates(distance))
+    def check(g):
+        assert trace_norm(cartan_decompose(g).reconstruct().matrix - g.matrix) <= 1e-12
+        check_cartan(g)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # the deficit-vs-defect scan and the four-party audit near Bell (x) Bell
 # ---------------------------------------------------------------------------
@@ -363,8 +408,9 @@ def test_mps_truncation_edge_matches_dense_oracle(circuit, T, data):
         state = planted_state(q, L, cut, small, data.draw(seeds))
         inputs = (state,)
     else:
-        state = initial_state(kind, L, q)
-        inputs = (state, dimer_sites(L, q) if kind == "dimer" else product_sites(L, q))
+        sites = dimer_sites(L, q) if kind == "dimer" else product_sites(L, q)
+        state = PureState(contract_chain(np.ones((1, 1)), sites).reshape(-1), (q,) * L)
+        inputs = (state, sites)
     want = dense_evolve(circuit, state, T)
     for initial in inputs:
         profiles = evolve(circuit, initial, T).profiles
