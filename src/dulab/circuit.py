@@ -372,7 +372,6 @@ class FourPartyReport:
     F_in: float
     F_BC: float
     q: int
-    recon_distance: float | None = None
 
     @property
     def bounds_vacuous(self) -> bool:
@@ -405,20 +404,15 @@ class FourPartyReport:
 
     def to_json_dict(self) -> dict:
         """The audited fields in declaration order (without ``q``), then
-        ``bounds_vacuous``, ``checks`` and, when set, ``recon_distance``."""
+        ``bounds_vacuous`` and ``checks``."""
         out = asdict(self)
         del out["q"]
-        recon = out.pop("recon_distance")
         out["bounds_vacuous"] = self.bounds_vacuous
         out["checks"] = self.inequality_checks()
-        if recon is not None:
-            out["recon_distance"] = recon
         return out
 
 
-def four_party_report(
-    u: Gate, state: PureState, with_reconstruction: bool = False
-) -> FourPartyReport:
+def four_party_report(u: Gate, state: PureState) -> FourPartyReport:
     """Audit of one gate acting on the middle qudits of a pure ABCD state.
 
     ``state`` carries dims (dA, q, q, dD); the gate acts on (B, C).
@@ -456,10 +450,6 @@ def four_party_report(
     # F(rho, I/d) = tr sqrt(rho) / sqrt(d), held to [0, 1] like ``fidelity``
     f_bc = float(min(1.0, np.sqrt(probs["BC"]).sum() / q))
 
-    recon = None
-    if with_reconstruction:
-        _, recon = reconstruct_distillable(state)
-
     return FourPartyReport(
         delta_S=delta_S,
         epsilon=eps,
@@ -478,7 +468,6 @@ def four_party_report(
         F_in=f_in,
         F_BC=f_bc,
         q=q,
-        recon_distance=recon,
     )
 
 

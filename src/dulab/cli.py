@@ -274,6 +274,8 @@ def _cmd_fidelity(args):
 
 
 def _cmd_catalan(args):
+    if len(set(args.n)) < len(args.n):
+        raise ValueError(f"--n lists an order more than once: {' '.join(map(str, args.n))}")
     results = []
     overall = True
     rel_tol = {2: 0.02, 3: 0.05, 4: 0.10}
@@ -308,7 +310,10 @@ def _cmd_audit_gate(args):
     g = load_gate(args.gate, args.q, args.J, args.b, args.h)
     rep = gates.defects(g)
     state = kron_states(bell_state(args.q), bell_state(args.q))
-    audit = ckt.four_party_report(g, state, with_reconstruction=args.reconstruct)
+    audit = ckt.four_party_report(g, state)
+    report = audit.to_json_dict()
+    if args.reconstruct:
+        _, report["recon_distance"] = ckt.reconstruct_distillable(state)
     ok = audit.all_hold(slack=1e-9) and rep.relation_ok
     doc = {
         "params": {"gate": args.gate, "q": args.q, "J": args.J, "b": args.b, "h": args.h},
@@ -317,7 +322,7 @@ def _cmd_audit_gate(args):
         "choi_defect_unnormalized": rep.choi_defect * args.q ** 2,
         "relation_ok": rep.relation_ok,
         "is_dual": rep.is_dual(),
-        "report": audit.to_json_dict(),
+        "report": report,
         "pass": bool(ok),
     }
     return doc, ok, None, {}
@@ -360,6 +365,10 @@ def _cmd_scan_eps_delta(args):
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))
     points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
+    if sum(p.epsilon > 0 and p.delta > 0 for p in points) < 3:
+        raise ValueError(f"fewer than 3 points between --theta-min {args.theta_min!r} and "
+                         f"--theta-max {args.theta_max!r} clear the {ensemble.NOISE_FLOOR:g} "
+                         "noise floor; raise the range")
     slope, intercept = ensemble.loglog_slope(points)
     # q^2 * delta: the normalization of the snap certificate at q = 2
     d_uns = [p.delta * args.q ** 2 for p in points]
@@ -443,6 +452,18 @@ def _at_least(lo: int):
     return parse
 
 
+def _even_at_least(lo: int):
+    """argparse type: an even integer >= lo."""
+    at_least = _at_least(lo)
+
+    def parse(text: str) -> int:
+        n = at_least(text)
+        if n % 2:
+            raise argparse.ArgumentTypeError(f"must be even, got {text!r}")
+        return n
+    return parse
+
+
 def _add_common(p, seed_required=False, fmt=None):
     p.add_argument("--out", help="output file (atomic write); stdout if omitted")
     p.add_argument("--assert", dest="do_assert", action="store_true",
@@ -471,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("zigzag", help="dual-unitary relay of the alternating bond profile")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--L", type=int, default=16)
+    p.add_argument("--q", type=_at_least(2), default=2)
+    p.add_argument("--L", type=_even_at_least(4), default=16)
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--gate", default="swap",
                    help="swap | fourier | kicked-ising | mix | identity | cz | file path")
@@ -484,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zigzag)
 
     p = sub.add_parser("kicked-ising", help="separating product states through the kicked-Ising circuit")
-    p.add_argument("--L", type=int, default=14)
+    p.add_argument("--L", type=_even_at_least(4), default=14)
     p.add_argument("--steps", type=int, default=6)
     p.add_argument("--class", dest="klass", choices=("T", "L"), required=True)
     p.add_argument("--bits", action="store_true")
@@ -493,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kicked_ising)
 
     p = sub.add_parser("mps", help="solvable matrix product state checks")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--chi", type=int, default=2)
+    p.add_argument("--q", type=_at_least(2), default=2)
+    p.add_argument("--chi", type=_at_least(1), default=2)
     p.add_argument("--cells", type=_at_least(1), default=3)
     p.add_argument("--load", help="load an MPS pair from a JSON file instead of sampling")
     p.add_argument("--save", help="save the pair to a JSON file (written with --out)")
@@ -520,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit-gate", help="defects and the four-party audit on Bell x Bell")
     p.add_argument("--gate", required=True)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_at_least(2), default=2)
     p.add_argument("--reconstruct", action="store_true",
                    help="include the distillable-structure reconstruction distance")
     _add_gate_params(p)
@@ -529,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project-dual", help="iterative projection onto the dual-unitary set")
     p.add_argument("--gate", default="haar", help="haar | named gate | file path")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_at_least(2), default=2)
     p.add_argument("--max-iters", type=_at_least(0), default=200)
     p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--seed", type=int, help="seed (required with --gate haar)")
@@ -539,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-eps-delta", help="entanglement deficit vs dual defect along a perturbation")
     p.add_argument("--base", default="swap", help="dual base gate (swap | fourier | kicked-ising | file)")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_at_least(2), default=2)
     p.add_argument("--theta-min", type=_positive, default=1e-3)
     p.add_argument("--theta-max", type=_positive, default=1e-1)
     p.add_argument("--points", type=_at_least(3), default=9)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -31,15 +31,7 @@ QUARTER = math.pi / 4
 CHAMBER_WALL = 1e-12
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = (_X, _Y, _Z)
-#: exp(-i pi/4 sigma): applied to both sites, it exchanges two Cartan axes
-_AXIS_SWAP = {
-    (0, 1): scipy.linalg.expm(-1j * QUARTER * _Z),
-    (1, 2): scipy.linalg.expm(-1j * QUARTER * _X),
-    (0, 2): scipy.linalg.expm(-1j * QUARTER * _Y),
-}
 
 # columns are the Bell-like basis in which two-qubit interactions
 # exp(-i sum J sigma sigma) are diagonal and one-site unitaries are real
@@ -236,42 +228,30 @@ def interaction_gate(jx: float, jy: float, jz: float) -> np.ndarray:
 
 def _joint_diag_polish(a, b, p, sweeps=8, tol=1e-15):
     """Jacobi sweeps rotating an orthogonal basis until it diagonalizes the
-    commuting real symmetric pair (a, b) to machine precision; needed near
-    degenerate spectra where a two-stage eigh leaves O(sqrt(eps)) residuals."""
+    commuting real symmetric pair (a, b) to machine precision, also inside
+    clusters of (near-)degenerate eigenvalues of a, where eigh alone leaves
+    the basis mixed.  Each rotation takes the closed-form angle phi/2 that
+    minimizes the pair's summed off-diagonal weight at (i, j)."""
     a = p.T @ a @ p
     b = p.T @ b @ p
     n = a.shape[0]
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
     for _ in range(sweeps):
-        off = max(
-            abs(a[i, j]) if k == 0 else abs(b[i, j])
-            for i in range(n - 1)
-            for j in range(i + 1, n)
-            for k in (0, 1)
-        )
-        if off < tol:
+        if max(max(abs(a[i, j]), abs(b[i, j])) for i, j in pairs) < tol:
             break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                g = np.zeros((2, 2))
-                for m in (a, b):
-                    h = np.array([m[i, i] - m[j, j], 2.0 * m[i, j]])
-                    g += np.outer(h, h)
-                _, v = np.linalg.eigh(g)
-                x, y = v[:, -1]
-                if x < 0:
-                    x, y = -x, -y
-                r = math.hypot(x, y)
-                if r < 1e-300 or abs(y) < tol * r:
-                    continue
-                c = math.sqrt((x + r) / (2 * r))
-                s = y / (2 * r * c)
-                rot = np.eye(n)
-                rot[i, i] = rot[j, j] = c
-                rot[i, j] = -s
-                rot[j, i] = s
-                a = rot.T @ a @ rot
-                b = rot.T @ b @ rot
-                p = p @ rot
+        for i, j in pairs:
+            x = np.array([a[i, i] - a[j, j], b[i, i] - b[j, j]])
+            y = np.array([2.0 * a[i, j], 2.0 * b[i, j]])
+            phi = 0.5 * math.atan2(2.0 * (x @ y), x @ x - y @ y)
+            if abs(math.sin(phi)) < tol:
+                continue
+            rot = np.eye(n)
+            rot[i, i] = rot[j, j] = math.cos(phi / 2)
+            rot[j, i] = math.sin(phi / 2)
+            rot[i, j] = -rot[j, i]
+            a = rot.T @ a @ rot
+            b = rot.T @ b @ rot
+            p = p @ rot
     return p
 
 
@@ -279,24 +259,12 @@ def _diag_symmetric_unitary(s: np.ndarray):
     """Diagonalize a complex symmetric unitary by a real orthogonal matrix,
     deterministically: eigenvalues ordered by descending real then imaginary
     part, eigenvector signs fixed by the largest component, det(p) = +1."""
-    a, b = s.real, s.imag
-    w, p = np.linalg.eigh(a)
-    i, n = 0, len(w)
-    while i < n:
-        j = i + 1
-        while j < n and abs(w[j] - w[i]) < 1e-7:
-            j += 1
-        if j - i > 1:
-            blk = p[:, i:j]
-            sub = blk.T @ b @ blk
-            _, v = np.linalg.eigh((sub + sub.T) / 2)
-            p[:, i:j] = blk @ v
-        i = j
-    p = _joint_diag_polish(a, b, p)
+    _, p = np.linalg.eigh(s.real)
+    p = _joint_diag_polish(s.real, s.imag, p)
     lam = np.einsum("ji,jk,ki->i", p, s, p)
     order = np.lexsort((-lam.imag.round(9), -lam.real.round(9)))
     p = p[:, order]
-    for k in range(n):
+    for k in range(len(lam)):
         col = p[:, k]
         if col[np.argmax(np.abs(col))] < 0:
             p[:, k] = -col
@@ -325,16 +293,27 @@ def _kron_factor_2x2(l4: np.ndarray):
     return a, b, c
 
 
+#: chamber moves on the eigenpairs (theta_k, column k of p) of m^T m, in the
+#: order of the J formula in ``cartan_decompose``: J_k -> J_k - pi/2 adds pi
+#: to theta at _SHIFT[k]; exchanging the axes (i, j) exchanges the eigenpairs
+#: _SWAP[i, j]; negating J_i and J_j reorders the eigenpairs by _FLIP[i, j]
+_SHIFT = ([0, 3], [1, 3], [0, 1])
+_SWAP = {(0, 1): [0, 1], (1, 2): [0, 3]}
+_FLIP = {(0, 1): [1, 0, 3, 2], (0, 2): [2, 3, 0, 1], (1, 2): [3, 2, 1, 0]}
+
+
 def cartan_decompose(g: Gate) -> CartanData:
     """Cartan/KAK data of a two-qubit gate, J in the canonical chamber.
 
     Algorithm: conjugate into the Bell-like basis, orthogonally diagonalize
-    the symmetric unitary m^T m (deterministic ordering and tie-breaking),
-    split off the one-site factors, then walk J into
+    the symmetric unitary m^T m = p diag(e^{2i theta}) p^T (deterministic
+    ordering and tie-breaking), then walk J into
     pi/4 >= Jx >= Jy >= |Jz| (with Jz >= 0 when Jx = pi/4), each wall held
     to within CHAMBER_WALL, by coefficient shifts, axis swaps and pairwise
-    sign flips absorbed into the one-site factors.  Failure to reconstruct
-    within 1e-9 is a hard error.
+    sign flips, each a pi shift of two eigenphases or a reordering of the
+    eigenpairs.  The one-site factors are split off the walked p and
+    m p diag(e^{-i theta}) once.  Failure to reconstruct within 1e-9 is a
+    hard error.
     """
     if g.q != 2:
         raise ValueError(f"Cartan decomposition implemented for q = 2 only, got q = {g.q}")
@@ -345,12 +324,6 @@ def cartan_decompose(g: Gate) -> CartanData:
     theta = np.angle(lam) / 2
     if np.real(np.prod(np.exp(1j * theta))) < 0:
         theta[-1] += math.pi
-    d = np.exp(1j * theta)
-    o1 = m @ p @ np.diag(d.conj())
-    if np.abs(o1.imag).max() > 1e-6:
-        raise ValueError("orthogonal factor came out non-real; decomposition failed")
-    o1 = o1.real
-    phi_d = theta.sum() / 4
     J = np.array(
         [
             (-theta[0] + theta[1] + theta[2] - theta[3]) / 4,
@@ -358,33 +331,22 @@ def cartan_decompose(g: Gate) -> CartanData:
             (-theta[0] - theta[1] + theta[2] + theta[3]) / 4,
         ]
     )
-    u1, u2, c1 = _kron_factor_2x2(_MAGIC @ o1 @ _MAGIC.conj().T)
-    u3, u4, c2 = _kron_factor_2x2(_MAGIC @ p.T @ _MAGIC.conj().T)
-    phi = phase0 + phi_d + np.angle(c1) + np.angle(c2)
 
-    # canonicalization moves; every move keeps the reconstruction invariant
+    # canonicalization moves: each changes J and the eigenpairs together
     def shift(k, n):
-        nonlocal phi, u3, u4
         J[k] -= n * math.pi / 2
-        phi += n * math.pi / 2
-        s = np.linalg.matrix_power(1j * _PAULI[k], n % 4)
-        u3 = s @ u3
-        u4 = s @ u4
+        theta[_SHIFT[k]] += n * math.pi
 
     def swap_axes(i, j):
-        nonlocal u1, u2, u3, u4
-        c = _AXIS_SWAP[(min(i, j), max(i, j))]
-        u1 = u1 @ c.conj().T
-        u2 = u2 @ c.conj().T
-        u3 = c @ u3
-        u4 = c @ u4
+        a, b = _SWAP[i, j]
+        theta[[a, b]] = theta[[b, a]]
+        p[:, [a, b]] = p[:, [b, a]]
+        p[:, b] = -p[:, b]  # keeps det p = +1
         J[[i, j]] = J[[j, i]]
 
     def flip_pair(i, j):
-        nonlocal u1, u3
-        v = 1j * _PAULI[3 - i - j]
-        u1 = u1 @ v.conj().T
-        u3 = v @ u3
+        theta[:] = theta[_FLIP[i, j]]
+        p[:] = p[:, _FLIP[i, j]]
         J[i] = -J[i]
         J[j] = -J[j]
 
@@ -416,6 +378,14 @@ def cartan_decompose(g: Gate) -> CartanData:
         flip_pair(0, 2)
         sort_axes()
 
+    # m = o1 diag(e^{i theta}) p^T with o1, p in SO(4), which the Bell-like
+    # basis maps onto SU(2) (x) SU(2)
+    o1 = m @ p * np.exp(-1j * theta)
+    if np.abs(o1.imag).max() > 1e-6:
+        raise ValueError("orthogonal factor came out non-real; decomposition failed")
+    u1, u2, c1 = _kron_factor_2x2(_MAGIC @ o1.real @ _MAGIC.conj().T)
+    u3, u4, c2 = _kron_factor_2x2(_MAGIC @ p.T @ _MAGIC.conj().T)
+    phi = phase0 + theta.sum() / 4 + np.angle(c1) + np.angle(c2)
     phi = float((phi + math.pi) % (2 * math.pi) - math.pi)
     data = CartanData(phase=phi, u1=u1, u2=u2, u3=u3, u4=u4, J=tuple(float(j) for j in J))
     err = trace_norm(data.reconstruct().matrix - u)
@@ -443,11 +413,7 @@ def nearest_dual_q2(g: Gate) -> tuple[Gate, float]:
     J_snap = J.copy()
     for k in order[:2]:
         J_snap[k] = QUARTER if J[k] >= 0 else -QUARTER
-    snapped = CartanData(
-        phase=data.phase, u1=data.u1, u2=data.u2, u3=data.u3, u4=data.u4,
-        J=tuple(float(j) for j in J_snap),
-    )
-    ux = snapped.reconstruct()
+    ux = replace(data, J=tuple(float(j) for j in J_snap)).reconstruct()
     return ux, trace_norm(g.matrix - ux.matrix)
 
 

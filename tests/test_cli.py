@@ -128,6 +128,21 @@ class TestUsageErrors:
          "argument --points: must be >= 3, got '1'"),
         (["mps", "--seed", "5", "--cells", "0"],
          "argument --cells: must be >= 1, got '0'"),
+        (["zigzag", "--q", "1"], "argument --q: must be >= 2, got '1'"),
+        (["audit-gate", "--gate", "swap", "--q", "1"], "argument --q: must be >= 2, got '1'"),
+        (["project-dual", "--gate", "swap", "--q", "1"], "argument --q: must be >= 2, got '1'"),
+        (["scan-eps-delta", "--seed", "1", "--q", "1"], "argument --q: must be >= 2, got '1'"),
+        (["mps", "--seed", "1", "--q", "1"], "argument --q: must be >= 2, got '1'"),
+        (["mps", "--seed", "1", "--chi", "0"], "argument --chi: must be >= 1, got '0'"),
+        (["kicked-ising", "--class", "T", "--L", "7"], "argument --L: must be even, got '7'"),
+        (["zigzag", "--L", "7", "--initial", "product"], "argument --L: must be even, got '7'"),
+        (["zigzag", "--L", "7"], "argument --L: must be even, got '7'"),
+        (["scan-eps-delta", "--seed", "1", "--theta-min", "1e-9", "--theta-max", "1e-8",
+          "--points", "3"],
+         "fewer than 3 points between --theta-min 1e-09 and --theta-max 1e-08 clear "
+         "the 1e-12 noise floor"),
+        (["catalan", "--seed", "1", "--q", "4", "--samples", "10", "--n", "2", "2"],
+         "--n lists an order more than once: 2 2"),
     ])
     def test_bad_float_flag_exits_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -177,6 +178,34 @@ class TestCartan:
                 g = Gate(2, base.matrix @ scipy.linalg.expm(-1j * theta * h))
                 data = cartan_decompose(g)
                 assert trace_norm(data.reconstruct().matrix - g.matrix) <= 1e-9
+
+    @pytest.mark.parametrize("chamber, point", [
+        ((0.6, 0.4, 0.1), (0.6, 0.4, 0.1)),
+        ((0.7, 0.5, -0.2), (0.7, 0.5, -0.2)),
+        ((QUARTER, 0.3, -0.2), (QUARTER, 0.3, 0.2)),  # Jz >= 0 on the Jx = pi/4 wall
+        ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5)),
+        ((0.3, 0.0, 0.0), (0.3, 0.0, 0.0)),
+        ((QUARTER, QUARTER, QUARTER), (QUARTER, QUARTER, QUARTER)),
+    ])
+    def test_chamber_point_is_a_class_function(self, chamber, point, rng):
+        # every image under the Weyl group (axis orders, even sign patterns)
+        # and a +-pi/2 shift of at most one coefficient is locally
+        # equivalent, so it decomposes to the same chamber point; every
+        # other image is also dressed with Haar one-site unitaries
+        shifts = [np.zeros(3)] + [s * math.pi / 2 * np.eye(3)[k] for k in range(3)
+                                  for s in (1, -1)]
+        signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+        images = [np.array(chamber)[list(order)] * sign + shift
+                  for order in itertools.permutations(range(3))
+                  for sign in signs for shift in shifts]
+        assert len(images) == 168
+        for n, J in enumerate(images):
+            u = interaction_gate(*J)
+            if n % 2:
+                a, b, c, d = (haar_unitary(2, rng) for _ in range(4))
+                u = np.kron(a, b) @ u @ np.kron(c, d)
+            data = cartan_decompose(Gate(2, u))
+            assert np.abs(np.array(data.J) - point).max() <= 1e-13, (J, data.J)
 
     def test_interaction_gate_matches_expm(self, rng):
         for _ in range(5):

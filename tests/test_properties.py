@@ -224,8 +224,9 @@ def test_cartan_chamber_on_dressed_swap_cz_iswap(g):
     check_cartan(g)
 
 
-#: coefficient coincidences around the 1e-7 real-part clustering of the m^T m
-#: spectrum in cartan_decompose, and below it, where the Jacobi polish works
+#: coefficient coincidences, where the m^T m spectrum of cartan_decompose is
+#: (nearly) degenerate and the Jacobi polish separates the eigenvectors, from
+#: exact coincidence up to 1e-5
 CLUSTER_DISTANCES = (0.0, 1e-13, 1e-10, 1e-8, 1e-7 * (1 - 1e-3), 1e-7 * (1 + 1e-3), 1e-5)
 
 
