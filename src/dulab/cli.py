@@ -8,7 +8,9 @@ published tolerance and exits 1 on failure.  Usage errors exit 2 before the
 output file is touched.
 Entropies in files are always nats; ``--bits`` adds a display-only bits
 rendering of summary lines.  The state-size budget can be overridden with
-the DULAB_MAX_AMPLITUDES environment variable.
+the DULAB_MAX_AMPLITUDES environment variable.  Every subcommand computes
+at one thread of numpy's bundled OpenBLAS, so its bytes do not depend on
+OPENBLAS_NUM_THREADS or the core count.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import circuit as ckt
 from . import ensemble, gates, mps
-from .qinfo import bell_state, entropy_from_probs, kron_states, trace_norm
+from .qinfo import _one_blas_thread, bell_state, entropy_from_probs, kron_states, trace_norm
 
 SCHEMA_VERSION = "1"
 EIGHT_THIRDS_PI = 8.0 / (3.0 * math.pi)
@@ -471,7 +473,7 @@ def _add_common(p, seed_required=False, fmt=None):
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default=fmt)
     if seed_required:
-        p.add_argument("--seed", type=int, required=True,
+        p.add_argument("--seed", type=_at_least(0), required=True,
                        help="master seed (mandatory for stochastic experiments)")
 
 
@@ -527,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--q", type=int, default=q)
         p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--tolerance", type=_finite, default=0.01)
+        p.add_argument("--tolerance", type=_positive, default=0.01)
         p.add_argument("--raw", help="stream per-sample values to this CSV")
         _add_common(p, seed_required=True)
         p.set_defaults(func=_cmd_fidelity)
@@ -553,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_at_least(2), default=2)
     p.add_argument("--max-iters", type=_at_least(0), default=200)
     p.add_argument("--tol", type=_positive, default=1e-10)
-    p.add_argument("--seed", type=int, help="seed (required with --gate haar)")
+    p.add_argument("--seed", type=_at_least(0), help="seed (required with --gate haar)")
     _add_gate_params(p)
     _add_common(p)
     p.set_defaults(func=_cmd_project_dual)
@@ -579,7 +581,8 @@ def main(argv=None) -> int:
         if path and args.out and os.path.realpath(path) == os.path.realpath(args.out):
             parser.error(f"--{flag} and --out name the same file: {path}")
     try:
-        doc, ok, payload, files = args.func(args)
+        with _one_blas_thread():
+            doc, ok, payload, files = args.func(args)
         text = json.dumps({"schema_version": SCHEMA_VERSION, "experiment": args.command,
                            **doc}, indent=2, allow_nan=False) + "\n"
         if args.out:

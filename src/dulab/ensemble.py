@@ -12,7 +12,6 @@ nor the number of worker processes a large stream is split over.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .gates import Gate, choi_defect, choi_probs, haar_unitary, nearest_dual_q2
-from .qinfo import schmidt_probs
+from .qinfo import _one_blas_thread, _pin_one_blas_thread, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
 NOISE_FLOOR = 1e-12
@@ -58,50 +57,6 @@ def _check_ensemble(q: int, n_samples: int) -> None:
 #: spawned workers against the serial loop: 1.31 s / 1.02 s at 25 samples,
 #: 1.91 s / 2.04 s at 50, 3.07 s / 3.99 s at 100, 5.58 s / 7.54 s at 200.
 FAN_OUT_SAMPLES = 100
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
-    None when numpy links another BLAS."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                        "libscipy_openblas64_*.so")
-    for path in glob.glob(libs):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body at one BLAS thread, then restore the previous count."""
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
-def _pin_one_blas_thread() -> None:
-    """Worker initializer: the worker computes at one BLAS thread for life."""
-    blas = _blas_threads()
-    if blas is not None:
-        blas[1](1)
 
 
 def _spectra_block(spectrum, rngs) -> np.ndarray:

@@ -12,14 +12,20 @@ here.  Conventions, fixed once:
 * fidelity is the square-root (Uhlmann) convention
   ``F = tr sqrt(sqrt(rho) sigma sqrt(rho))``, so ``F in [0, 1]`` and a pure
   state gives ``sqrt(<psi|sigma|psi>)``;
-* an infinite relative entropy is the explicit ``math.inf`` sentinel.
+* an infinite relative entropy is the explicit ``math.inf`` sentinel;
+* every ``dulab`` command computes at one thread of numpy's bundled
+  OpenBLAS (``_one_blas_thread``), so its bytes do not depend on the
+  thread count.
 
 All functions are pure and all values are immutable after construction, so
 they are safe to share across threads without locking.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -267,7 +273,8 @@ def marginal_probs(state: PureState, keep) -> np.ndarray:
 def entropy_from_probs(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     p = p[p > 0]
-    return float(-(p * np.log(p)).sum()) if p.size else 0.0
+    # + 0.0 turns the -0.0 of a pure spectrum into 0.0
+    return float(-(p * np.log(p)).sum()) + 0.0 if p.size else 0.0
 
 
 def entropy_vn(rho: DensityMatrix) -> float:
@@ -442,3 +449,51 @@ def uhlmann_align(psi: PureState, phi: PureState, ancilla) -> tuple[np.ndarray, 
     u, s, vh = np.linalg.svd(k)
     w = np.conj(u @ vh)
     return w, float(s.sum())
+
+
+# ---------------------------------------------------------------------------
+# BLAS threading
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None when numpy links another BLAS."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                        "libscipy_openblas64_*.so")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one BLAS thread, then restore the previous count."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _pin_one_blas_thread() -> None:
+    """Worker initializer: the worker computes at one BLAS thread for life."""
+    blas = _blas_threads()
+    if blas is not None:
+        blas[1](1)

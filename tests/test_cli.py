@@ -143,6 +143,20 @@ class TestUsageErrors:
          "the 1e-12 noise floor"),
         (["catalan", "--seed", "1", "--q", "4", "--samples", "10", "--n", "2", "2"],
          "--n lists an order more than once: 2 2"),
+        (["mps", "--seed", "-1"], "argument --seed: must be >= 0, got '-1'"),
+        (["scan-eps-delta", "--seed", "-2"], "argument --seed: must be >= 0, got '-2'"),
+        (["project-dual", "--gate", "haar", "--seed", "-3"],
+         "argument --seed: must be >= 0, got '-3'"),
+        (["haar-fidelity", "--q", "2", "--samples", "2", "--seed", "-1"],
+         "argument --seed: must be >= 0, got '-1'"),
+        (["state-fidelity", "--q", "2", "--samples", "2", "--seed", "-1"],
+         "argument --seed: must be >= 0, got '-1'"),
+        (["catalan", "--q", "2", "--samples", "2", "--seed", "-1"],
+         "argument --seed: must be >= 0, got '-1'"),
+        (["state-fidelity", "--q", "2", "--samples", "50", "--seed", "1", "--tolerance", "0"],
+         "argument --tolerance: must be > 0, got '0'"),
+        (["haar-fidelity", "--q", "2", "--samples", "2", "--seed", "1", "--tolerance", "-1"],
+         "argument --tolerance: must be > 0, got '-1'"),
     ])
     def test_bad_float_flag_exits_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -235,6 +249,61 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def outputs_at_blas_threads(argv, threads, tmp_path, setup=""):
+    """stdout and the --out bytes of ``dulab argv`` run in a fresh interpreter
+    whose OpenBLAS starts at ``threads`` threads; ``setup`` runs first."""
+    import dulab
+
+    code = ("import sys; from dulab import cli, ensemble; " + setup
+            + "sys.exit(cli.main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(dulab.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = tmp_path / f"t{threads}.out"
+    res = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                         env=env, check=True, capture_output=True, timeout=120)
+    return res.stdout, out.read_bytes()
+
+
+class TestBlasThreads:
+    """Every command computes at one BLAS thread, whatever the caller's count."""
+
+    @pytest.mark.parametrize("argv", [
+        ["zigzag", "--q", "3", "--L", "12", "--steps", "4", "--gate", "fourier"],
+        ["kicked-ising", "--class", "L", "--L", "14", "--steps", "6", "--h", "0.3"],
+        ["audit-gate", "--gate", "GATE", "--q", "3", "--reconstruct"],
+        ["project-dual", "--gate", "haar", "--q", "3", "--seed", "4", "--max-iters", "300"],
+        ["scan-eps-delta", "--base", "fourier", "--q", "3", "--seed", "8"],
+        ["mps", "--q", "3", "--chi", "3", "--seed", "5"],
+    ])
+    def test_bytes_independent_of_blas_threads(self, argv, tmp_path):
+        gate = tmp_path / "gate.txt"
+        write_gate_file(haar_gate(3, 11), str(gate))
+        argv = [str(gate) if a == "GATE" else a for a in argv]
+        assert (outputs_at_blas_threads(argv, "1", tmp_path)
+                == outputs_at_blas_threads(argv, "2", tmp_path))
+
+    def test_main_restores_the_callers_thread_count(self, tmp_path, capsys):
+        from dulab import qinfo
+
+        blas = qinfo._blas_threads()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, set_ = blas
+        before = get()
+        try:
+            set_(2)
+            assert run(["project-dual", "--gate", "swap", "--q", "2"]) == 0
+            assert get() == 2
+            with pytest.raises(SystemExit) as e:
+                run(["audit-gate", "--gate", "nonsense", "--q", "2"])
+            assert e.value.code == 2
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 #: one small run per subcommand; haar-fidelity at q = 2 misses its target
@@ -355,6 +424,13 @@ class TestKickedIsingCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["zigzag_ok"] is True
 
+    def test_no_negative_zero_entropy(self, capsys):
+        # a pure cut's entropy is -(1 ln 1), which prints as -0.0 unless fixed
+        run(["kicked-ising", "--class", "T", "--L", "14", "--steps", "6", "--h", "0.3"])
+        doc = json.loads(capsys.readouterr().out)
+        zeros = [x for x in doc["central_entropy_nats"] if x == 0.0]
+        assert zeros and all(math.copysign(1.0, x) == 1.0 for x in zeros)
+
 
 class TestMpsCommand:
     def test_assert_and_save(self, tmp_path, capsys):
@@ -411,23 +487,10 @@ class TestEnsembleCommands:
         (16, 6, 2),     # 3 blocks on spawned workers
     ])
     def test_bytes_independent_of_blas_threads(self, q, samples, fan_out, tmp_path):
-        import dulab
-
         setup = "" if fan_out is None else f"ensemble.FAN_OUT_SAMPLES = {fan_out}; "
-        code = ("import sys; from dulab import cli, ensemble; " + setup
-                + "sys.exit(cli.main(sys.argv[1:]))")
-        src = os.path.dirname(os.path.dirname(dulab.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}.json"
-            path = [src, os.environ.get("PYTHONPATH")]
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-            subprocess.run([sys.executable, "-c", code, "haar-fidelity", "--q", str(q),
-                            "--samples", str(samples), "--seed", "7", "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=120)
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        argv = ["haar-fidelity", "--q", str(q), "--samples", str(samples), "--seed", "7"]
+        assert (outputs_at_blas_threads(argv, "1", tmp_path, setup)
+                == outputs_at_blas_threads(argv, "2", tmp_path, setup))
 
     def test_state_fidelity_small(self, capsys):
         code = run(["state-fidelity", "--q", "16", "--samples", "200", "--seed", "5",

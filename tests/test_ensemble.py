@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dulab import ensemble
+from dulab import ensemble, qinfo
 from dulab.ensemble import (
     EpsDeltaPoint,
     catalan_number,
@@ -137,7 +137,7 @@ class TestStreamReuseAndFanOut:
             choi_spectra(2, 1, 1)
 
     def test_loop_runs_at_one_blas_thread_and_restores_the_count(self):
-        blas = ensemble._blas_threads()
+        blas = qinfo._blas_threads()
         if blas is None:
             pytest.skip("numpy does not bundle OpenBLAS")
         get = blas[0]

@@ -9,6 +9,7 @@ from dulab.qinfo import (
     DensityMatrix,
     PureState,
     bell_state,
+    entropy_from_probs,
     entropy_vn,
     fidelity,
     kron_states,
@@ -96,6 +97,12 @@ class TestEntropy:
 
     def test_pure_state_zero(self):
         assert entropy_vn(random_pure((2, 2), seed=5).density()) == pytest.approx(0.0, abs=1e-10)
+
+    def test_pure_spectrum_is_positive_zero(self):
+        # -(1 ln 1) is -0.0 in floating point, which JSON would print as -0.0
+        for p in ([1.0], [0.0, 1.0, 0.0]):
+            s = entropy_from_probs(np.array(p))
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
     def test_frozen_two_level_value(self):
         # oracle: -(0.75 ln 0.75 + 0.25 ln 0.25)
