@@ -11,7 +11,6 @@ from .qinfo import (
     reduce,
     relative_entropy,
     sandwiched_renyi,
-    trace_distance,
     trace_norm_distance,
     uhlmann_align,
 )

@@ -527,16 +527,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_, q, help_text) in FIDELITY_EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--q", type=int, default=q)
-        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--q", type=_at_least(2), default=q)
+        p.add_argument("--samples", type=_at_least(2), default=2000)
         p.add_argument("--tolerance", type=_positive, default=0.01)
         p.add_argument("--raw", help="stream per-sample values to this CSV")
         _add_common(p, seed_required=True)
         p.set_defaults(func=_cmd_fidelity)
 
     p = sub.add_parser("catalan", help="Haar purity moments against Catalan targets")
-    p.add_argument("--q", type=int, default=16)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--q", type=_at_least(2), default=16)
+    p.add_argument("--samples", type=_at_least(2), default=2000)
     p.add_argument("--n", type=int, nargs="+", default=(2, 3), choices=(2, 3, 4))
     _add_common(p, seed_required=True)
     p.set_defaults(func=_cmd_catalan)

@@ -52,7 +52,7 @@ def _check_ensemble(q: int, n_samples: int) -> None:
 
 #: Samples of a q = 16 gate (d = 256) above which a stream is split into
 #: blocks of at most this many samples, run on worker processes.  A sample's
-#: QR and eigvalsh cost grows as d^3, so a stream of dimension d splits above
+#: QR and SVD cost grows as d^3, so a stream of dimension d splits above
 #: FAN_OUT_SAMPLES * (256 / d)^3 samples.  Measured at q = 16 on 2 cores, two
 #: spawned workers against the serial loop: 1.31 s / 1.02 s at 25 samples,
 #: 1.91 s / 2.04 s at 50, 3.07 s / 3.99 s at 100, 5.58 s / 7.54 s at 200.

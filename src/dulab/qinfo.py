@@ -7,8 +7,8 @@ here.  Conventions, fixed once:
 * subsystems are an explicit ordered ``dims`` list, position-indexed from 0,
   with subsystem 0 the slowest (most significant) index of the flat vector,
   i.e. ``kron(a, b)`` puts ``a`` at position 0;
-* ``trace_norm_distance`` returns the full 1-norm ``||rho - sigma||_1``; the
-  halved convention is ``trace_distance``;
+* ``trace_norm_distance`` returns the full 1-norm ``||rho - sigma||_1``
+  (the halved trace distance is half of it);
 * fidelity is the square-root (Uhlmann) convention
   ``F = tr sqrt(sqrt(rho) sigma sqrt(rho))``, so ``F in [0, 1]`` and a pure
   state gives ``sqrt(<psi|sigma|psi>)``;
@@ -250,15 +250,15 @@ def _clamped_probs(eigs: np.ndarray) -> np.ndarray:
 
 
 def schmidt_probs(amplitudes: np.ndarray, dl: int) -> np.ndarray:
-    """Schmidt weights (ascending) of a vector reshaped to a (dl, -1) matrix.
+    """Schmidt weights (ascending) of a vector reshaped to a (dl, -1) matrix:
+    the squared singular values of that matrix, so a weight p carries an
+    error of about 1e-16 sqrt(p).
 
-    Eigenvalues of the Gram matrix on the smaller side of the cut, clipped
-    at 0.  The Gram matrix squares the condition number, so weights below
-    about 1e-16 lose relative accuracy; an entropy moves by a few 1e-13 nats.
+    The result is a C-contiguous copy: a reversed view would pass its
+    negative stride on to ufunc results and change the order sums add in.
     """
-    m = np.asarray(amplitudes).reshape(dl, -1)
-    gram = m @ m.conj().T if dl <= m.shape[1] else m.conj().T @ m
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    s = np.linalg.svd(np.asarray(amplitudes).reshape(dl, -1), compute_uv=False)
+    return np.ascontiguousarray((s * s)[::-1])
 
 
 def marginal_probs(state: PureState, keep) -> np.ndarray:
@@ -306,20 +306,15 @@ def _check_same_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 
 
 def trace_norm_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """||rho - sigma||_1 = sum of |eigenvalues| of the (Hermitian) difference."""
+    """||rho - sigma||_1, the trace norm of the difference."""
     _check_same_dims(rho, sigma)
-    return float(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum())
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Halved convention D_tr = ||rho - sigma||_1 / 2."""
-    return 0.5 * trace_norm_distance(rho, sigma)
+    return trace_norm(rho.matrix - sigma.matrix)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """sqrt of a density matrix; eigenvalues below EIG_CLAMP are a ValueError."""
     w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(_clamped_probs(w))) @ v.conj().T
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -330,10 +325,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     zero (keeps the result symmetric in its arguments to ~1e-12).
     """
     _check_same_dims(rho, sigma)
-    _clamped_probs(rho.eigenvalues())
-    _clamped_probs(sigma.eigenvalues())
-    s = np.linalg.svd(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix), compute_uv=False)
-    return float(min(1.0, s.sum()))
+    return min(1.0, trace_norm(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -272,7 +272,7 @@ def test_criterion_10_consistency_oracles():
             worst_rel = max(worst_rel, abs(rep.choi_defect * q * q - rep.gram_defect))
     ok_a = k == 100 and worst_rel <= 1e-9
 
-    # (b) bond entropies (Gram eigvalsh of schmidt_probs) equal dense
+    # (b) bond entropies (the SVD of schmidt_probs) equal dense
     # reduce+entropy on L <= 6 states
     worst_b = 0.0
     for L in (2, 3, 4, 5, 6):

@@ -91,9 +91,9 @@ class TestUsageErrors:
         assert e.value.code == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["haar-fidelity", "--q", "4", "--samples", "0"], "at least 2 samples, got 0"),
-        (["state-fidelity", "--q", "4", "--samples", "1"], "at least 2 samples, got 1"),
-        (["catalan", "--q", "1", "--samples", "10"], "q must be >= 2, got 1"),
+        (["haar-fidelity", "--q", "4", "--samples", "0"], "argument --samples: must be >= 2, got '0'"),
+        (["state-fidelity", "--q", "4", "--samples", "1"], "argument --samples: must be >= 2, got '1'"),
+        (["catalan", "--q", "1", "--samples", "10"], "argument --q: must be >= 2, got '1'"),
     ])
     def test_ensemble_size_below_two_exits_2(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -251,20 +251,25 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+def checkout_env(**extra):
+    """The environment plus ``extra``, with the ``src`` directory of the
+    dulab under test first on PYTHONPATH, so a subprocess imports it too."""
+    import dulab
+
+    src = os.path.dirname(os.path.dirname(dulab.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
 def outputs_at_blas_threads(argv, threads, tmp_path, setup=""):
     """stdout and the --out bytes of ``dulab argv`` run in a fresh interpreter
     whose OpenBLAS starts at ``threads`` threads; ``setup`` runs first."""
-    import dulab
-
     code = ("import sys; from dulab import cli, ensemble; " + setup
             + "sys.exit(cli.main(sys.argv[1:]))")
-    src = os.path.dirname(os.path.dirname(dulab.__file__))
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     out = tmp_path / f"t{threads}.out"
     res = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
-                         env=env, check=True, capture_output=True, timeout=120)
+                         env=checkout_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                         capture_output=True, timeout=120)
     return res.stdout, out.read_bytes()
 
 
@@ -583,11 +588,12 @@ class TestConsoleEntrypoint:
     def test_installed_script(self):
         exe = shutil.which("dulab")
         cmd = [exe] if exe else [sys.executable, "-m", "dulab.cli"]
+        env = checkout_env()
         res = subprocess.run(cmd + ["audit-gate", "--gate", "swap", "--q", "2"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert res.returncode == 0
         assert json.loads(res.stdout)["is_dual"] is True
         res = subprocess.run(cmd + ["audit-gate", "--gate", "nonsense", "--q", "2"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert res.returncode == 2
         assert "nonsense" in res.stderr

