@@ -98,9 +98,9 @@ class CartanData:
     def reconstruct(self) -> Gate:
         m = (
             cmath.exp(1j * self.phase)
-            * np.kron(self.u1, self.u2)
+            * _kron_2x2(self.u1, self.u2)
             @ interaction_gate(*self.J)
-            @ np.kron(self.u3, self.u4)
+            @ _kron_2x2(self.u3, self.u4)
         )
         return Gate(2, m)
 
@@ -202,9 +202,15 @@ def choi_probs(matrix: np.ndarray, q: int) -> np.ndarray:
     return schmidt_probs(choi_vector(matrix, q), q * q)
 
 
+def _defect_from_probs(p: np.ndarray, q: int) -> float:
+    """sum |p - 1/q^2|: the 1-norm distance of an (A, B') spectrum p from
+    the maximally mixed one."""
+    return float(np.abs(p - 1 / q ** 2).sum())
+
+
 def choi_defect(g: Gate) -> float:
     """||rho_AB' - I/q^2||_1, read from ``choi_probs``."""
-    return float(np.abs(choi_probs(g.matrix, g.q) - 1 / g.q ** 2).sum())
+    return _defect_from_probs(choi_probs(g.matrix, g.q), g.q)
 
 
 def defects(g: Gate) -> DefectReport:
@@ -274,6 +280,12 @@ def _diag_symmetric_unitary(s: np.ndarray):
     return lam, p
 
 
+def _kron_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two 2x2 matrices, the same products without
+    np.kron's general-shape set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def _kron_factor_2x2(l4: np.ndarray):
     """Split a (scalar times) kron product of 2x2 unitaries into
     (a, b, c) with det a = det b = 1, |c| = 1 and l4 = c * kron(a, b)."""
@@ -289,7 +301,7 @@ def _kron_factor_2x2(l4: np.ndarray):
         return m
 
     a, b = fix(a), fix(b)
-    c = np.trace(np.kron(a, b).conj().T @ l4) / 4
+    c = np.trace(_kron_2x2(a, b).conj().T @ l4) / 4
     return a, b, c
 
 
@@ -441,20 +453,25 @@ def project_dual_iterative(g: Gate, max_iters: int = 200, tol: float = 1e-10) ->
     choi defect drops below tol or after max_iters.  There is no known
     convergence guarantee; non-convergence is reported via the flag and the
     per-iteration defect trace, never an exception.
+
+    ``defect_trace[k]`` is the choi defect of the k-th iterate (the input
+    at k = 0), read from the singular values s of its dual matrix that the
+    next polar step computes: the dual matrix is q times a row permutation
+    of the Choi matrix, so the (A, B') spectrum is (s / q)^2.  Only the
+    returned gate is validated as a ``Gate``; the iterates in between are
+    polar factors, unitary to rounding.
     """
     q = g.q
     u = g.matrix
-    trace = [choi_defect(g)]
-    if trace[0] <= tol:
-        return ProjectionResult(g, True, tuple(trace))
-    for _ in range(max_iters):
-        u = reshuffle(_polar_unitary(reshuffle(u, q)), q)
-        u = _polar_unitary(u)
-        gate = Gate(q, u)
-        trace.append(choi_defect(gate))
-        if trace[-1] <= tol:
-            return ProjectionResult(gate, True, tuple(trace))
-    return ProjectionResult(Gate(q, u), False, tuple(trace))
+    trace = []
+    for k in range(max_iters + 1):
+        w, s, vh = np.linalg.svd(reshuffle(u, q))
+        trace.append(_defect_from_probs((s / q) ** 2, q))
+        if trace[-1] <= tol or k == max_iters:
+            break
+        u = _polar_unitary(reshuffle(w @ vh, q))
+    converged = trace[-1] <= tol
+    return ProjectionResult(g if len(trace) == 1 else Gate(q, u), converged, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
