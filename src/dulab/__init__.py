@@ -35,8 +35,8 @@ from .circuit import (
     EntanglementRecord,
     FourPartyReport,
     bond_entropies,
+    chain_probs,
     dimer_sites,
-    estimate_vE,
     evolve,
     four_party_report,
     reconstruct_distillable,

@@ -1,6 +1,6 @@
 """Brickwork evolution of an exact matrix-product state on a finite open
-chain, entanglement profiles, velocity estimation, zigzag detection and the
-four-party growth audit.
+chain, the Schmidt weights of any chain of site tensors, entanglement
+profiles, zigzag detection and the four-party growth audit.
 
 The finite open chain stands in for an infinite lattice: central-cut values
 are only trusted while the light cone from the cut has not reached a
@@ -177,14 +177,22 @@ class BrickworkCircuit:
 class EntanglementRecord:
     """Bond-entropy profiles (nats) after each layer, t = 0 being the input."""
 
-    times: tuple
-    profiles: np.ndarray  # shape (len(times), L - 1)
-    light_cone_valid: tuple
+    profiles: np.ndarray  # shape (T + 1, L - 1)
     q: int = 2
 
     @property
     def L(self) -> int:
         return self.profiles.shape[1] + 1
+
+    @property
+    def times(self) -> tuple:
+        return tuple(range(len(self.profiles)))
+
+    @property
+    def light_cone_valid(self) -> tuple:
+        """Per time step: the light cone from the central cut has not
+        reached a boundary (2t + 2 <= L)."""
+        return tuple(2 * t + 2 <= self.L for t in self.times)
 
     def central_cut(self) -> int:
         return self.L // 2 - 1
@@ -221,12 +229,12 @@ def _svd_cut(m: np.ndarray):
     return u[:, keep], s[keep], vh[keep]
 
 
-def _left_canonical(circuit: BrickworkCircuit, initial) -> list:
-    """Site tensors of the input split by sequential SVD from the left: every
-    tensor but the last is an isometry from (left bond, site) to its right
-    bond, so the last one holds the norm and a sweep can start at the right
-    end.  A chain of site tensors is re-split one site at a time."""
-    L, q = circuit.L, circuit.q
+def _left_canonical(initial) -> list:
+    """Site tensors of a dense state or chain split by sequential SVD from
+    the left: every tensor but the last is an isometry from (left bond, site)
+    to its right bond, so the last one holds the norm and a sweep can start
+    at the right end.  A chain of site tensors (chi_l, d, chi_r) with unit
+    outer bonds is re-split one site at a time; its sites may differ in d."""
     if isinstance(initial, PureState):
         chain, dims, rest = None, initial.dims, initial.amplitudes.reshape(1, -1)
     else:
@@ -234,53 +242,55 @@ def _left_canonical(circuit: BrickworkCircuit, initial) -> list:
         if (any(a.ndim != 3 for a in chain)
                 or [a.shape[0] for a in chain] != [1] + [a.shape[2] for a in chain[:-1]]
                 or chain[-1].shape[2] != 1):
-            raise ValueError("site tensors (chi_l, q, chi_r) must chain with unit outer "
+            raise ValueError("site tensors (chi_l, d, chi_r) must chain with unit outer "
                              f"bonds, got shapes {[a.shape for a in chain]}")
         dims, rest = tuple(a.shape[1] for a in chain), np.ones((1, 1), dtype=complex)
-    if dims != (q,) * L:
-        raise ValueError(
-            f"initial state dims {dims} do not match circuit (L = {L}, q = {q})"
-        )
 
     def rows_at(b, rest):
         """rest with site b moved into its rows, the rest of the chain in its columns."""
         if chain is None:
-            return rest.reshape(rest.shape[0] * q, -1)
+            return rest.reshape(rest.shape[0] * dims[b], -1)
         return contract_chain(rest, chain[b:b + 1])
 
     sites = []
-    for b in range(L - 1):
+    for b in range(len(dims) - 1):
         u, s, vh = _svd_cut(rows_at(b, rest))
-        sites.append(u.reshape(rest.shape[0], q, -1))
+        sites.append(u.reshape(rest.shape[0], dims[b], -1))
         rest = s[:, None] * vh
-    sites.append(rows_at(L - 1, rest).reshape(-1, q, 1))
+    sites.append(rows_at(len(dims) - 1, rest).reshape(-1, dims[-1], 1))
     return sites
 
 
-def _sweep(circuit: BrickworkCircuit, sites: list, t: int) -> np.ndarray:
-    """Layer t (none at t = 0) as one canonical sweep, rightward at odd t,
-    that carries the centre from one end of the chain to the other.  At each
-    cut it contracts the two sites, applies the layer's gate if one sits on
-    that bond and takes one SVD; returns the bond entropies."""
-    L, q = circuit.L, circuit.q
-    gated = set(circuit.layer_bonds(t)) if t else set()
-    rightward = t % 2 == 1
-    entropies = np.empty(L - 1)
-    for b in range(L - 1) if rightward else range(L - 2, -1, -1):
-        chi_l, chi_r = sites[b].shape[0], sites[b + 1].shape[2]
-        theta = np.tensordot(sites[b], sites[b + 1], 1).reshape(chi_l, q * q, chi_r)
-        if b in gated:
-            theta = np.matmul(circuit.gate_for(t, b).matrix, theta)
-        u, s, vh = _svd_cut(theta.reshape(chi_l * q, q * chi_r))
+def _sweep(sites: list, gates: Mapping[int, np.ndarray], rightward: bool) -> list:
+    """One canonical sweep that carries the centre from one end of the chain
+    to the other.  At each cut b it contracts the two sites, applies
+    ``gates[b]`` if the map holds one and takes one SVD; returns the Schmidt
+    weights at every cut, indexed by bond."""
+    probs = [None] * (len(sites) - 1)
+    for b in range(len(probs)) if rightward else range(len(probs) - 1, -1, -1):
+        chi_l, d_l = sites[b].shape[:2]
+        d_r, chi_r = sites[b + 1].shape[1:]
+        theta = np.tensordot(sites[b], sites[b + 1], 1).reshape(chi_l, d_l * d_r, chi_r)
+        if b in gates:
+            theta = np.matmul(gates[b], theta)
+        u, s, vh = _svd_cut(theta.reshape(chi_l * d_l, d_r * chi_r))
         p = s * s
-        entropies[b] = entropy_from_probs(p / p.sum())
+        probs[b] = p / p.sum()
         if rightward:
             vh = s[:, None] * vh
         else:
             u = u * s
-        sites[b], sites[b + 1] = u.reshape(chi_l, q, -1), vh.reshape(-1, q, chi_r)
+        sites[b], sites[b + 1] = u.reshape(chi_l, d_l, -1), vh.reshape(-1, d_r, chi_r)
         _check_capacity(sum(a.size for a in sites))
-    return entropies
+    return probs
+
+
+def chain_probs(sites) -> list:
+    """Schmidt weights at every cut of a chain of site tensors (chi_l, d,
+    chi_r) with unit outer bonds, indexed by bond: one split and one
+    leftward sweep, under the same SV_CUT and amplitude budget as
+    ``evolve``."""
+    return _sweep(_left_canonical(sites), {}, rightward=False)
 
 
 def evolve(
@@ -291,43 +301,27 @@ def evolve(
     false once 2t + 2 > L.
 
     ``initial`` is a dense state or its site tensors (chi_l, q, chi_r) with
-    unit outer bonds, as the ``*_sites`` builders give.  Every bond spectrum
-    costs one SVD per layer (see ``_sweep``); singular values at or below
-    SV_CUT times the largest at a cut are dropped, and the amplitude budget
-    counts the entries of the site tensors.
+    unit outer bonds, as the ``*_sites`` builders give.  Layer t (none at
+    t = 0) is one canonical sweep, rightward at odd t, so every bond
+    spectrum costs one SVD per layer (see ``_sweep``); singular values at
+    or below SV_CUT times the largest at a cut are dropped, and the
+    amplitude budget counts the entries of the site tensors.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    sites = _left_canonical(circuit, initial)
-    return EntanglementRecord(
-        times=tuple(range(T + 1)),
-        profiles=np.array([_sweep(circuit, sites, t) for t in range(T + 1)]),
-        light_cone_valid=tuple(2 * t + 2 <= circuit.L for t in range(T + 1)),
-        q=circuit.q,
-    )
-
-
-def estimate_vE(record: EntanglementRecord, cut: int, window: Sequence[int]):
-    """Least-squares slope of S(cut) over the listed time steps, in units of
-    ln q; the residual is the largest absolute deviation from the fit.
-
-    ``window`` is an explicit list of recorded time steps, all of which must
-    lie within the valid light-cone window.  The estimate is per supplied
-    initial state; no maximization over initial states is attempted.
-    """
-    window = [int(t) for t in window]
-    if len(window) < 3:
-        raise ValueError(f"window needs at least 3 time steps, got {len(window)}")
-    for t in window:
-        if t not in record.times:
-            raise ValueError(f"time {t} not recorded")
-        if not record.light_cone_valid[record.times.index(t)]:
-            raise ValueError(f"time {t} is outside the valid light-cone window")
-    s = np.array([record.profiles[record.times.index(t), cut] for t in window])
-    ts = np.array(window, dtype=float)
-    slope, intercept = np.polyfit(ts, s, 1)
-    residual = float(np.abs(s - (slope * ts + intercept)).max())
-    return float(slope) / math.log(record.q), residual
+    L, q = circuit.L, circuit.q
+    sites = _left_canonical(initial)
+    dims = tuple(a.shape[1] for a in sites)
+    if dims != (q,) * L:
+        raise ValueError(
+            f"initial state dims {dims} do not match circuit (L = {L}, q = {q})"
+        )
+    profiles = []
+    for t in range(T + 1):
+        gates = {b: circuit.gate_for(t, b).matrix for b in circuit.layer_bonds(t)} if t else {}
+        probs = _sweep(sites, gates, rightward=t % 2 == 1)
+        profiles.append([entropy_from_probs(p) for p in probs])
+    return EntanglementRecord(profiles=np.array(profiles), q=q)
 
 
 def zigzag_check(profile: Sequence[float], q: int, tol: float = 1e-9):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import _check_capacity, contract_chain
+from .circuit import chain_probs
 from .gates import haar_unitary
-from .qinfo import PureState, entropy_from_probs, marginal_probs, unitarity_defect
+from .qinfo import entropy_from_probs, unitarity_defect
 
 SOLVABLE_TOL = 1e-10
 #: transfer gap below this flags a (near-)degenerate fixed point
@@ -82,15 +82,9 @@ def random_solvable(q: int, chi: int, seed) -> MPSPair:
     1/sqrt(q), and B carries N, so that the combined tensor reproduces N
     entry-by-entry.
     """
-    n = haar_unitary(chi * q, seed)
     chip = chi * q
-    a = np.zeros((q, chi, chip), dtype=complex)
-    for i in range(q):
-        for al in range(chi):
-            a[i, al, al * q + i] = 1.0 / math.sqrt(q)
-    b = np.empty((q, chip, chi), dtype=complex)
-    for j in range(q):
-        b[j] = n.reshape(chip, chi, q)[:, :, j]
+    a = np.eye(chip).reshape(chi, q, chip).transpose(1, 0, 2) / math.sqrt(q)
+    b = haar_unitary(chip, seed).reshape(chip, chi, q).transpose(2, 0, 1)
     return MPSPair(q, chi, a, b)
 
 
@@ -104,24 +98,23 @@ def transfer_gap(pair: MPSPair) -> float:
     return float(1.0 - abs(ev[np.argsort(-np.abs(ev))][1]))
 
 
-def dense_state_with_environment(pair: MPSPair, n_cells: int) -> PureState:
-    """Contract n_cells unit cells A B, keeping the two chi-dimensional bond
-    legs as boundary subsystems; for a solvable pair the left/right
-    environments are then exactly the transfer fixed points, so interior cuts
-    carry no boundary effects at any length."""
-    q, chi = pair.q, pair.chi
+def environment_sites(pair: MPSPair, n_cells: int) -> list:
+    """n_cells unit cells A B as site tensors (chi_l, q, chi_r), between two
+    chi-dimensional environment legs: sites 0 and 2 n_cells + 1, each an
+    identity on the bond.  For a solvable pair the environments are then
+    exactly the transfer fixed points, so interior cuts carry no boundary
+    effects at any length."""
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
-    _check_capacity(q ** (2 * n_cells) * chi * chi)
+    env = np.eye(pair.chi, dtype=complex)
     cells = [pair.A.transpose(1, 0, 2), pair.B.transpose(1, 0, 2)] * n_cells
-    v = contract_chain(np.eye(chi, dtype=complex), cells).reshape(-1)
-    v = v / np.linalg.norm(v)
-    return PureState(v, (chi,) + (q,) * (2 * n_cells) + (chi,))
+    return [env.reshape(1, pair.chi, pair.chi)] + cells + [env.reshape(pair.chi, pair.chi, 1)]
 
 
 def interior_cut_probs(pair: MPSPair, n_cells: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt weights (p_AB, p_BA) of the infinite chain: the A:B cut in the
-    middle cell of one environment realization, and the B:A cut after it.
+    middle cell of ``environment_sites``, and the B:A cut after it, read
+    from one canonical sweep (``circuit.chain_probs``).
 
     The boundary legs carry the transfer fixed-point environments, making
     boundary effects on interior cuts exactly zero (far below the 1e-9
@@ -138,10 +131,10 @@ def interior_cut_probs(pair: MPSPair, n_cells: int = 3) -> tuple[np.ndarray, np.
             f"transfer gap {gap:.3e} below {GAP_TOL}: fixed point not unique enough "
             "for interior-cut extraction"
         )
-    psi = dense_state_with_environment(pair, n_cells)
+    probs = chain_probs(environment_sites(pair, n_cells))
     # bonds: 0 = env|A-cell...; the A:B cut inside cell k is bond 2k + 1
     ab = 2 * (n_cells // 2) + 1
-    return marginal_probs(psi, range(ab + 1)), marginal_probs(psi, range(ab + 2))
+    return probs[ab], probs[ab + 1]
 
 
 def cut_entropies_exact(pair: MPSPair, n_cells: int = 3) -> tuple[float, float]:

@@ -8,8 +8,9 @@ from dulab.circuit import (
     BrickworkCircuit,
     CapacityError,
     bond_entropies,
+    chain_probs,
+    contract_chain,
     dimer_sites,
-    estimate_vE,
     evolve,
     four_party_report,
     product_sites,
@@ -27,7 +28,7 @@ from dulab.gates import (
     kicked_ising_gate,
     swap_gate,
 )
-from dulab.qinfo import PureState, bell_state, entropy_vn, kron_states, reduce
+from dulab.qinfo import PureState, bell_state, entropy_vn, kron_states, marginal_probs, reduce
 from conftest import random_pure
 
 LN2 = math.log(2.0)
@@ -82,6 +83,27 @@ class TestBondEntropies:
             assert prof[b] == pytest.approx(dense, abs=1e-10)
 
 
+class TestChainProbs:
+    def test_mixed_site_dims_match_dense_oracle(self, rng):
+        # sites of dimension 2, 3, 4, 1 and 2 with bonds up to 3; over 200
+        # draws the worst weight difference was 1.4e-15
+        shapes = [(1, 2, 2), (2, 3, 3), (3, 4, 3), (3, 1, 2), (2, 2, 1)]
+        sites = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        v = contract_chain(np.ones((1, 1)), sites).reshape(-1)
+        psi = PureState(v / np.linalg.norm(v), tuple(s[1] for s in shapes))
+        probs = chain_probs(sites)
+        assert len(probs) == len(sites) - 1
+        for b, p in enumerate(probs):
+            assert p.sum() == pytest.approx(1.0, abs=1e-14)
+            want = np.sort(marginal_probs(psi, range(b + 1)))[::-1]
+            got = np.pad(np.sort(p)[::-1], (0, len(want) - len(p)))
+            assert np.abs(got - want).max() <= 1e-14
+
+    def test_rejects_open_outer_bonds(self):
+        with pytest.raises(ValueError, match="must chain with unit outer bonds"):
+            chain_probs([np.ones((2, 2, 1)), np.ones((1, 2, 1))])
+
+
 class TestEvolve:
     def test_swap_dimer_central_growth(self):
         L = 12
@@ -118,7 +140,16 @@ class TestEvolve:
         circ = BrickworkCircuit(L=L, q=2, gate=swap_gate(2))
         rec = evolve(circ, dimer_sites(L, 2), 4)
         # 2t + 2 <= L = 8 -> valid through t = 3
+        assert rec.times == (0, 1, 2, 3, 4)
         assert rec.light_cone_valid == (True, True, True, True, False)
+
+    def test_dims_checked_against_circuit(self):
+        circ = BrickworkCircuit(L=6, q=2, gate=swap_gate(2))
+        with pytest.raises(ValueError, match=r"initial state dims \(2, 2, 2, 2\) do not "
+                                             r"match circuit \(L = 6, q = 2\)"):
+            evolve(circ, dimer_sites(4, 2), 1)
+        with pytest.raises(ValueError, match="do not match circuit"):
+            evolve(circ, random_pure((2, 3, 2, 2, 2, 2), seed=1), 1)
 
     def test_per_layer_increase_bounded(self):
         L = 10
@@ -157,41 +188,6 @@ class TestEvolve:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,bond,entropy_nats,light_cone_valid"
         assert len(lines) == 1 + 2 * 3
-
-
-class TestEstimateVE:
-    def test_dual_circuit_velocity_one(self):
-        L = 16
-        circ = BrickworkCircuit(L=L, q=2, gate=swap_gate(2), first_parity="odd")
-        rec = evolve(circ, dimer_sites(L, 2), 6)
-        v, resid = estimate_vE(rec, rec.central_cut(), [2, 4, 6])
-        assert v == pytest.approx(1.0, abs=1e-9)
-        assert resid <= 1e-9
-
-    def test_identity_velocity_zero(self):
-        circ = BrickworkCircuit(L=12, q=2, gate=identity_gate(2))
-        rec = evolve(circ, dimer_sites(12, 2), 4)
-        v, resid = estimate_vE(rec, rec.central_cut(), [1, 2, 3, 4])
-        assert v == pytest.approx(0.0, abs=1e-10)
-
-    def test_haar_velocity_in_unit_interval(self):
-        circ = BrickworkCircuit(L=12, q=2, gate=haar_gate(2, 11), first_parity="odd")
-        rec = evolve(circ, dimer_sites(12, 2), 4)
-        v, _ = estimate_vE(rec, rec.central_cut(), [2, 3, 4])
-        print(f"\nhaar fixed-gate circuit vE estimate: {v:.4f}")
-        assert 0.0 < v <= 1.0 + 1e-9
-
-    def test_window_too_short(self):
-        circ = BrickworkCircuit(L=8, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_sites(8, 2), 3)
-        with pytest.raises(ValueError, match="at least 3"):
-            estimate_vE(rec, 3, [1, 2])
-
-    def test_window_outside_light_cone(self):
-        circ = BrickworkCircuit(L=8, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_sites(8, 2), 4)
-        with pytest.raises(ValueError, match="light-cone"):
-            estimate_vE(rec, 3, [2, 3, 4])
 
 
 class TestZigzag:

@@ -33,7 +33,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             run(["audit-gate", "--gate", "nonsense", "--q", "2"])
         assert e.value.code == 2
-        assert "nonsense" in capsys.readouterr().err
+        assert ("unknown gate 'nonsense' (named gates: identity, swap, cz, fourier, "
+                "kicked-ising)") in capsys.readouterr().err
+
+    def test_kicked_ising_needs_qubits(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["audit-gate", "--gate", "Kicked-Ising", "--q", "3"])
+        assert e.value.code == 2
+        assert "kicked-ising is a qubit (q = 2) gate" in capsys.readouterr().err
 
     def test_missing_seed_exits_2(self):
         with pytest.raises(SystemExit) as e:
@@ -221,8 +228,9 @@ class TestUsageErrors:
         ["mps", "--seed", "5"],
     ])
     def test_amplitude_budget_exceeded_exits_2(self, argv, monkeypatch, tmp_path, capsys):
-        # the zigzag site tensors outgrow the budget within its first layers;
-        # the mps realization holds 2^6 * 2^2 = 256 amplitudes
+        # the budget counts site-tensor entries: the zigzag site tensors
+        # outgrow it within the first layers, and the mps chain of three
+        # q = chi = 2 cells between its environment legs holds 104
         monkeypatch.setenv("DULAB_MAX_AMPLITUDES", "100")
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as e:
@@ -454,6 +462,13 @@ class TestMpsCommand:
         code = run(["mps", "--seed", "0", "--load", str(save), "--assert"])
         assert code == 0
 
+    def test_long_chain_within_budget(self, capsys):
+        # 12 cells: 872 site-tensor entries, where a dense vector would hold
+        # 3^24 * 2^2 (about 1.1e12) amplitudes
+        code = run(["mps", "--q", "3", "--chi", "2", "--seed", "3", "--cells", "12", "--assert"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
 
 class TestEnsembleCommands:
     def test_haar_fidelity_small(self, tmp_path, capsys):
@@ -537,6 +552,14 @@ class TestProjectDual:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert "defect_trace" in doc and "snap_distance" in doc
+
+    def test_unconverged_run_passes(self, capsys):
+        # pass checks the q = 2 snap only; an unconverged run reports it
+        code = run(["project-dual", "--gate", "haar", "--q", "3", "--seed", "4",
+                    "--max-iters", "1", "--assert"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is False and doc["pass"] is True
 
     def test_dual_input_trivial(self, capsys):
         code = run(["project-dual", "--gate", "swap", "--q", "2", "--assert"])

@@ -5,14 +5,22 @@ import numpy as np
 import pytest
 
 from dulab import mps
-from dulab.circuit import CAPACITY_ENV, BrickworkCircuit, CapacityError, bond_entropies, evolve
-from dulab.gates import kicked_ising_gate, swap_gate
-from dulab.qinfo import PureState, entropy_from_probs
+from dulab.circuit import (
+    CAPACITY_ENV,
+    BrickworkCircuit,
+    CapacityError,
+    bond_entropies,
+    chain_probs,
+    contract_chain,
+    evolve,
+)
+from dulab.gates import haar_unitary, kicked_ising_gate, swap_gate
+from dulab.qinfo import PureState, entropy_from_probs, marginal_probs
 from dulab.mps import (
     MPSPair,
     combined_tensor,
     cut_entropies_exact,
-    dense_state_with_environment,
+    environment_sites,
     interior_cut_probs,
     load_mps,
     pair_json,
@@ -23,6 +31,14 @@ from dulab.mps import (
 )
 
 QUARTER = math.pi / 4
+
+
+def dense_state(pair: MPSPair, n_cells: int) -> PureState:
+    """Oracle: ``environment_sites`` contracted into one normalized vector,
+    the two environment legs kept as boundary subsystems."""
+    sites = environment_sites(pair, n_cells)
+    v = contract_chain(np.ones((1, 1)), sites).reshape(-1)
+    return PureState(v / np.linalg.norm(v), tuple(a.shape[1] for a in sites))
 
 
 class TestSolvabilityDefect:
@@ -45,9 +61,22 @@ class TestSolvabilityDefect:
 
 
 class TestRandomSolvable:
-    def test_chi1_reconstructs_sampled_unitary(self):
-        from dulab.gates import haar_unitary
+    @pytest.mark.parametrize("q,chi", [(2, 1), (2, 3), (3, 2), (4, 2)])
+    def test_matches_reference_loop(self, q, chi):
+        # the reshapes build the same arrays as an entry-by-entry loop
+        chip = chi * q
+        a = np.zeros((q, chi, chip), dtype=complex)
+        for i in range(q):
+            for al in range(chi):
+                a[i, al, al * q + i] = 1.0 / math.sqrt(q)
+        n = haar_unitary(chip, 13)
+        b = np.empty((q, chip, chi), dtype=complex)
+        for j in range(q):
+            b[j] = n.reshape(chip, chi, q)[:, :, j]
+        pair = random_solvable(q, chi, seed=13)
+        assert np.array_equal(pair.A, a) and np.array_equal(pair.B, b)
 
+    def test_chi1_reconstructs_sampled_unitary(self):
         pair = random_solvable(2, 1, seed=11)
         n = combined_tensor(pair)
         assert np.allclose(n, haar_unitary(2, 11), atol=1e-12)
@@ -66,16 +95,24 @@ class TestRandomSolvable:
 
 
 class TestDenseState:
-    def test_normalized(self):
-        pair = random_solvable(2, 2, seed=3)
-        psi = dense_state_with_environment(pair, 3)
-        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    """The dense realization of ``environment_sites``, contracted here as an
+    oracle for the sweep."""
+
+    @pytest.mark.parametrize("q,chi", [(2, 1), (2, 2), (3, 2)])
+    def test_normalized(self, q, chi):
+        # the identity is the transfer fixed point of a solvable pair, so the
+        # contraction between identity environments has squared norm chi
+        pair = random_solvable(q, chi, seed=3)
+        for n_cells in (1, 2, 3):
+            v = contract_chain(np.ones((1, 1)), environment_sites(pair, n_cells))
+            assert np.vdot(v, v).real == pytest.approx(chi, abs=1e-12)
 
     def test_chi1_profile_matches_svd_oracle(self):
         pair = random_solvable(2, 1, seed=9)
-        psi = dense_state_with_environment(pair, 3)
+        psi = dense_state(pair, 3)
         assert psi.dims == (1,) + (2,) * 6 + (1,)
-        prof = bond_entropies(psi)
+        prof = [entropy_from_probs(p) for p in chain_probs(environment_sites(pair, 3))]
+        assert np.allclose(prof, bond_entropies(psi), atol=1e-12)
         # chi = 1: cells are isolated entangled pairs -> exact zigzag, and
         # the cuts next to the dimension-1 environment legs carry nothing
         for b in range(len(prof)):
@@ -84,15 +121,17 @@ class TestDenseState:
 
     def test_needs_a_cell(self):
         with pytest.raises(ValueError, match="n_cells must be >= 1"):
-            dense_state_with_environment(random_solvable(2, 2, seed=3), 0)
+            environment_sites(random_solvable(2, 2, seed=3), 0)
 
     def test_capacity_guard(self, monkeypatch):
-        # q^(2 n_cells) chi^2 = 2^6 * 4 = 256 amplitudes
+        # the budget counts site-tensor entries: 2 chi^2 for the environment
+        # legs plus 2 q chi^2 q per cell, 8 + 3 * 32 = 104 at q = chi = 2,
+        # three cells; the exact sweep keeps every bond at its input size
         pair = random_solvable(2, 2, seed=5)
-        monkeypatch.setenv(CAPACITY_ENV, "255")
-        with pytest.raises(CapacityError, match="state of 256 amplitudes exceeds the budget 255"):
+        monkeypatch.setenv(CAPACITY_ENV, "103")
+        with pytest.raises(CapacityError, match="state of 104 amplitudes exceeds the budget 103"):
             interior_cut_probs(pair, 3)
-        monkeypatch.setenv(CAPACITY_ENV, "256")
+        monkeypatch.setenv(CAPACITY_ENV, "104")
         interior_cut_probs(pair, 3)
 
 
@@ -106,10 +145,25 @@ class TestCutEntropies:
             assert e_ba == pytest.approx(math.log(chi), abs=1e-9)
             assert e_ab - e_ba == pytest.approx(math.log(q), abs=1e-9)
 
+    @pytest.mark.parametrize("q,chi", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_sweep_matches_dense_oracle(self, q, chi):
+        # n_cells = 1, 2 and 4 put the B:A cut on the environment leg; over
+        # q = 2, 3, chi = 1-4, seeds 1-5 and n_cells = 1-5 the worst weight
+        # difference was 2.7e-15
+        pair = random_solvable(q, chi, seed=1)
+        for n_cells in range(1, 6):
+            psi = dense_state(pair, n_cells)
+            ab = 2 * (n_cells // 2) + 1
+            for p, cut in zip(interior_cut_probs(pair, n_cells), (ab, ab + 1)):
+                want = np.sort(marginal_probs(psi, range(cut + 1)))[::-1]
+                got = np.pad(np.sort(p)[::-1], (0, len(want) - len(p)))
+                assert np.abs(got - want).max() <= 1e-14
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_closed_forms_to_rounding(self, q):
-        # over seeds 1-40 the worst deviation was 8.9e-16 at q = 2 and
-        # 2.7e-15 at q = 3; a Gram-matrix spectrum is off by up to 3.1e-14
+        # over chi = 1-4 and seeds 1-40 the worst deviation was 4.4e-16 at
+        # q = 2 and 8.9e-16 at q = 3 (the dense realization read 8.9e-16
+        # and 2.7e-15); a Gram-matrix spectrum is off by up to 3.1e-14
         for chi in (1, 2, 3, 4):
             for seed in range(1, 6):
                 p_ab, p_ba = interior_cut_probs(random_solvable(q, chi, seed))
@@ -171,7 +225,7 @@ class TestEvolveIntegration:
         # the central cut by 2 ln q per two layers inside the light cone
         pair = random_solvable(2, 1, seed=21)
         # 10 qubits, valleys on odd bonds, once the unit environment legs go
-        psi = PureState(dense_state_with_environment(pair, 5).amplitudes, (2,) * 10)
+        psi = PureState(dense_state(pair, 5).amplitudes, (2,) * 10)
         circ = BrickworkCircuit(L=10, q=2, gate=swap_gate(2), first_parity="odd")
         rec = evolve(circ, psi, 4)
         central = rec.central_series()
@@ -182,16 +236,16 @@ class TestEvolveIntegration:
 
     def test_chi2_environment_state_feeds_dual_circuit(self):
         # chi = q = 2: the fixed-point boundary legs are themselves qubits,
-        # so the realization is a qubit chain with an exact zigzag profile
+        # so the site tensors are a qubit chain with an exact zigzag profile
         pair = random_solvable(2, 2, seed=22)
-        psi = dense_state_with_environment(pair, 4)  # 2 + 8 qubits
-        prof = bond_entropies(psi)
+        sites = environment_sites(pair, 4)  # 2 + 8 qubits
+        prof = [entropy_from_probs(p) for p in chain_probs(sites)]
         diffs = np.abs(np.diff(prof))
         assert np.allclose(diffs, math.log(2), atol=1e-9)
         circ = BrickworkCircuit(
             L=10, q=2, gate=kicked_ising_gate(QUARTER, QUARTER, 0.3), first_parity="even"
         )
-        rec = evolve(circ, psi, 3)
+        rec = evolve(circ, sites, 3)
         central = rec.central_series()
         assert central[1] - central[0] == pytest.approx(2 * math.log(2), abs=1e-9)
         assert central[3] - central[1] == pytest.approx(2 * math.log(2), abs=1e-9)
