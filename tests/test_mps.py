@@ -98,14 +98,14 @@ class TestDenseState:
     """The dense realization of ``environment_sites``, contracted here as an
     oracle for the sweep."""
 
-    @pytest.mark.parametrize("q,chi", [(2, 1), (2, 2), (3, 2)])
-    def test_normalized(self, q, chi):
+    def test_normalized(self):
         # the identity is the transfer fixed point of a solvable pair, so the
         # contraction between identity environments has squared norm chi
-        pair = random_solvable(q, chi, seed=3)
-        for n_cells in (1, 2, 3):
-            v = contract_chain(np.ones((1, 1)), environment_sites(pair, n_cells))
-            assert np.vdot(v, v).real == pytest.approx(chi, abs=1e-12)
+        for q, chi in [(2, 1), (2, 2), (3, 2)]:
+            pair = random_solvable(q, chi, seed=3)
+            for n_cells in (1, 2, 3):
+                v = contract_chain(np.ones((1, 1)), environment_sites(pair, n_cells))
+                assert np.vdot(v, v).real == pytest.approx(chi, abs=1e-12)
 
     def test_chi1_profile_matches_svd_oracle(self):
         pair = random_solvable(2, 1, seed=9)
