@@ -8,7 +8,7 @@ SeedSequence spawn of the master seed (one child per sample index), so the
 sample stream is identical no matter how samples are scheduled, and
 aggregation uses numpy's pairwise summation.  Every sample is computed at
 one BLAS thread, so the bytes depend on neither the OpenBLAS thread count
-nor the number of worker processes a large stream is split over.
+nor the number of threads a large stream is split over.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .gates import Gate, choi_defect, choi_probs, haar_unitary, nearest_dual_q2
-from .qinfo import _one_blas_thread, _pin_one_blas_thread, schmidt_probs
+from .qinfo import _one_blas_thread, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
 NOISE_FLOOR = 1e-12
@@ -50,13 +50,18 @@ def _check_ensemble(q: int, n_samples: int) -> None:
         raise ValueError(f"a standard error needs at least 2 samples, got {n_samples}")
 
 
-#: Samples of a q = 16 gate (d = 256) above which a stream is split into
-#: blocks of at most this many samples, run on worker processes.  A sample's
-#: QR and SVD cost grows as d^3, so a stream of dimension d splits above
-#: FAN_OUT_SAMPLES * (256 / d)^3 samples.  Measured at q = 16 on 2 cores, two
-#: spawned workers against the serial loop: 1.31 s / 1.02 s at 25 samples,
-#: 1.91 s / 2.04 s at 50, 3.07 s / 3.99 s at 100, 5.58 s / 7.54 s at 200.
-FAN_OUT_SAMPLES = 100
+#: Samples of a q = 16 gate (d = 256) per block when a stream is split over
+#: threads.  A stream of dimension d is split into blocks of
+#: FAN_OUT_SAMPLES * (256 / d)^4 samples, and runs in the calling thread when
+#: one block holds it all.  Threads overlap only the GIL-free draw, QR and
+#: SVD, whose share of a sample falls with d, hence the fourth power.
+#: Measured on 2 cores, one loop against two threads: 25 q = 16 gates
+#: 0.95-0.99 s against 0.56-0.67 s (blocks of 1 to 13 alike), 2000 q = 8
+#: gates 2.6-3.1 s against 1.9-2.1 s, 4000 q = 6 gates 2.2-2.3 s against
+#: 1.8-1.9 s, 2000 q = 32 Haar states 0.56-0.59 s against 0.38-0.39 s, but
+#: 3000 q = 5 gates 0.99 s against 1.22-1.27 s, 8192 q = 4 gates 1.7-1.8 s
+#: against 2.2-2.4 s, and 25 q = 32 states 8 ms against 10 ms.
+FAN_OUT_SAMPLES = 1
 
 
 def _spectra_block(spectrum, rngs) -> np.ndarray:
@@ -67,25 +72,35 @@ def _sample_spectra(spectrum, d: int, n_samples: int, seed: int) -> np.ndarray:
     """Row k is ``spectrum(rng_k)`` for the k-th generator split from ``seed``;
     ``d`` is the dimension a sample factorizes, which sets the fan-out point.
 
-    ``spectrum`` must be picklable (a module-level function or a partial of
-    one), because a large stream runs in spawned worker processes."""
+    A large stream is split into blocks that the calling thread and helper
+    threads (one thread per core in all) take in turn; every sample computes
+    at one BLAS thread, and the blocks join in sample order."""
     rngs = sample_rngs(seed, n_samples)
-    block = math.ceil(FAN_OUT_SAMPLES * (256 / d) ** 3)
+    block = math.ceil(FAN_OUT_SAMPLES * (256 / d) ** 4)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cores or 1, math.ceil(n_samples / block))
-    if workers < 2:
-        with _one_blas_thread():
+    with _one_blas_thread():
+        if workers < 2:
             return _spectra_block(spectrum, rngs)
-    # imported here: at module level they would add about 10 ms to every
-    # dulab start, and only a fanned-out stream uses them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        # imported here: at module level it would add about 8 ms to every
+        # dulab start, and only a fanned-out stream uses it
+        from concurrent.futures import ThreadPoolExecutor
 
-    blocks = [rngs[i:i + block] for i in range(0, n_samples, block)]
-    # spawn, never fork: a forked child would inherit live OpenBLAS threads
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                             initializer=_pin_one_blas_thread) as pool:
-        return np.concatenate(list(pool.map(_spectra_block, [spectrum] * len(blocks), blocks)))
+        blocks = [rngs[i:i + block] for i in range(0, n_samples, block)]
+        rows = [None] * len(blocks)
+        todo = iter(range(len(blocks)))  # shared: each next() hands out one block
+
+        def drain():
+            for i in todo:
+                rows[i] = _spectra_block(spectrum, blocks[i])
+
+        # the calling thread drains too, so it keeps its core
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for h in helpers:
+                h.result()
+        return np.concatenate(rows)
 
 
 def _choi_probs(q: int, rng) -> np.ndarray:

@@ -15,7 +15,9 @@ here.  Conventions, fixed once:
 * an infinite relative entropy is the explicit ``math.inf`` sentinel;
 * every ``dulab`` command computes at one thread of numpy's bundled
   OpenBLAS (``_one_blas_thread``), so its bytes do not depend on the
-  thread count.
+  thread count;
+* every Schmidt spectrum and trace norm is one values-only SVD,
+  ``_svdvals``: numpy's bits, computed with the GIL released.
 
 All functions are pure and all values are immutable after construction, so
 they are safe to share across threads without locking.
@@ -23,9 +25,12 @@ they are safe to share across threads without locking.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import glob
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -257,7 +262,7 @@ def schmidt_probs(amplitudes: np.ndarray, dl: int) -> np.ndarray:
     The result is a C-contiguous copy: a reversed view would pass its
     negative stride on to ufunc results and change the order sums add in.
     """
-    s = np.linalg.svd(np.asarray(amplitudes).reshape(dl, -1), compute_uv=False)
+    s = _svdvals(np.asarray(amplitudes).reshape(dl, -1))
     return np.ascontiguousarray((s * s)[::-1])
 
 
@@ -291,7 +296,7 @@ def trace_norm(a: np.ndarray) -> float:
     a = np.asarray(a)
     if not a.size:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(_svdvals(a).sum())
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -444,28 +449,35 @@ def uhlmann_align(psi: PureState, phi: PureState, ancilla) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# BLAS threading
+# numpy's bundled OpenBLAS: thread count and the values-only SVD
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
-    None when numpy links another BLAS."""
-    import ctypes
-    import glob
-
+def _openblas():
+    """The OpenBLAS that numpy bundles, or None when numpy links another BLAS."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                         "libscipy_openblas64_*.so")
     for path in glob.glob(libs):
         try:
             lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+        except OSError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
     return None
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None when numpy links another BLAS."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager
@@ -484,8 +496,78 @@ def _one_blas_thread():
         set_(before)
 
 
-def _pin_one_blas_thread() -> None:
-    """Worker initializer: the worker computes at one BLAS thread for life."""
-    blas = _blas_threads()
-    if blas is not None:
-        blas[1](1)
+@functools.cache
+def _zgesdd():
+    """LAPACK zgesdd (64-bit integers) in numpy's bundled OpenBLAS, or None."""
+    fn = getattr(_openblas(), "scipy_zgesdd_64_", None)
+    if fn is not None:
+        fn.restype = None
+    return fn
+
+
+#: matrices with at most this many entries keep their zgesdd workspace per
+#: thread and shape; a larger one queries and allocates it on every call
+_KEPT_WORKSPACE_ENTRIES = 256 * 256
+
+_kept_workspaces = threading.local()
+
+_JOBZ_N = ctypes.c_char_p(b"N")
+_NULL = ctypes.c_void_p()
+_CHAR_LEN = ctypes.c_size_t(1)  # gfortran's hidden length of the JOBZ string
+
+
+def _gesdd_values(gesdd, m: int, n: int):
+    """A call ``run(a, s) -> info`` of a values-only zgesdd on an m x n
+    column-major matrix at pointer ``a``, writing min(m, n) values at ``s``.
+
+    lwork is LAPACK's own optimal size from a workspace query, as numpy asks
+    for; the block sizes, and so the bits, follow from it."""
+    k = min(m, n)
+    ints = (ctypes.c_int64 * 7)(m, n, m, m, 1, -1, 0)  # m n lda ldu ldvt lwork info
+    m_, n_, lda, ldu, ldvt, lwork, info = (ctypes.byref(ints, 8 * i) for i in range(7))
+    rwork = (ctypes.c_double * (7 * k))()
+    iwork = (ctypes.c_int64 * (8 * k))()
+    query = (ctypes.c_double * 2)()
+    gesdd(_JOBZ_N, m_, n_, _NULL, lda, _NULL, _NULL, ldu, _NULL, ldvt,
+          query, lwork, rwork, iwork, info, _CHAR_LEN)
+    ints[5] = max(int(query[0]), 1)
+    work = (ctypes.c_double * (2 * ints[5]))()
+
+    def run(a, s) -> int:
+        gesdd(_JOBZ_N, m_, n_, a, lda, s, _NULL, ldu, _NULL, ldvt,
+              work, lwork, rwork, iwork, info, _CHAR_LEN)
+        return ints[6]
+
+    return run
+
+
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a 2-D matrix: ``np.linalg.svd(a,
+    compute_uv=False)`` bit for bit.
+
+    A complex matrix goes to the routine that numpy calls (values-only
+    zgesdd in its bundled OpenBLAS, with the same workspace) through ctypes,
+    which releases the GIL while LAPACK runs, so samplers on several threads
+    overlap.  Other dtypes, empty matrices and a numpy without its OpenBLAS
+    take numpy's own call.  Like numpy, a failure to converge (NaN input)
+    raises LinAlgError, and infinite input gives NaN values.
+    """
+    gesdd = _zgesdd()
+    if gesdd is None or a.dtype != np.complex128 or not a.size:
+        return np.linalg.svd(a, compute_uv=False)
+    m, n = a.shape
+    if m * n <= _KEPT_WORKSPACE_ENTRIES:
+        kept = _kept_workspaces.__dict__
+        run = kept.get((m, n))
+        if run is None:
+            run = kept[(m, n)] = _gesdd_values(gesdd, m, n)
+    else:
+        run = _gesdd_values(gesdd, m, n)
+    # LAPACK overwrites its input, so it gets a column-major copy, dropped on
+    # return; the transpose of that copy is C-contiguous
+    f = np.array(a, dtype=np.complex128, order="F")
+    s = np.empty(min(m, n))
+    first_byte = ctypes.c_char.from_buffer
+    if run(ctypes.byref(first_byte(f.T)), ctypes.byref(first_byte(s))):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return s

@@ -504,7 +504,7 @@ class TestEnsembleCommands:
     @pytest.mark.parametrize("q, samples, fan_out", [
         (4, 40, None),  # in-process loop
         (16, 4, None),
-        (16, 6, 2),     # 3 blocks on spawned workers
+        (16, 6, 2),     # 3 blocks on 2 threads
     ])
     def test_bytes_independent_of_blas_threads(self, q, samples, fan_out, tmp_path):
         setup = "" if fan_out is None else f"ensemble.FAN_OUT_SAMPLES = {fan_out}; "

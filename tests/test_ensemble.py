@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -103,13 +104,66 @@ class TestOneStream:
 
 class TestStreamReuseAndFanOut:
     def test_fan_out_bit_identical_to_serial(self, monkeypatch):
-        # 3 blocks of at most 3 samples on 2 spawned workers against the
-        # in-process loop, which is what one worker runs
+        # 3 blocks of at most 3 samples on 2 threads against the loop in the
+        # calling thread, which is what one thread runs
         serial = choi_spectra(16, 8, 13).copy()
         ensemble._choi_stream.cache_clear()
         monkeypatch.setattr(ensemble, "FAN_OUT_SAMPLES", 3)
         monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert np.array_equal(choi_spectra(16, 8, 13), serial)
+
+    def test_state_fan_out_bit_identical_to_serial(self, monkeypatch):
+        # d = 16: blocks of 3 Haar states, 3 blocks on 2 threads
+        serial = haar_state_fidelity(16, 8, seed=13)
+        monkeypatch.setattr(ensemble, "FAN_OUT_SAMPLES", 3 / 16 ** 4)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert haar_state_fidelity(16, 8, seed=13).values == serial.values
+
+    def test_fan_out_threads_run_at_one_blas_thread(self, monkeypatch):
+        blas = qinfo._blas_threads()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, set_ = blas
+        # the first two samples wait for each other, so two threads take part
+        both = threading.Barrier(2, timeout=30)
+        calls, seen = [], []
+
+        def spectrum(rng):
+            calls.append(rng)
+            if len(calls) <= 2:
+                both.wait()
+            seen.append((threading.get_ident(), get()))
+            return np.zeros(1)
+
+        monkeypatch.setattr(ensemble, "FAN_OUT_SAMPLES", 1)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = get()
+        try:
+            set_(2)
+            rows = ensemble._sample_spectra(spectrum, 256, 6, 1)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert rows.shape == (6, 1) and len(seen) == 6
+        assert all(count == 1 for _, count in seen)
+        assert len({ident for ident, _ in seen}) == 2
+
+    def test_fan_out_raises_a_helper_threads_error(self, monkeypatch):
+        both = threading.Barrier(2, timeout=30)
+        calls = []
+
+        def spectrum(rng):
+            calls.append(rng)
+            if len(calls) <= 2:
+                both.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("bad sample")
+            return np.zeros(1)
+
+        monkeypatch.setattr(ensemble, "FAN_OUT_SAMPLES", 1)
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(ValueError, match="bad sample"):
+            ensemble._sample_spectra(spectrum, 256, 6, 1)
 
     def test_repeat_draws_nothing_and_is_read_only(self, monkeypatch):
         first = choi_spectra(3, 10, 5)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from dulab import qinfo
-from dulab.gates import haar_unitary
+from dulab.gates import choi_vector, haar_unitary
 from dulab.qinfo import (
     Bipartition,
     DensityMatrix,
@@ -191,6 +193,76 @@ class TestSchmidtProbs:
     def test_marginal_probs_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             marginal_probs(bell_state(2), {2})
+
+
+class TestSvdvals:
+    """The GIL-free values-only SVD is numpy's, bit for bit."""
+
+    SHAPES = ([(k, k) for k in (2, 3, 4, 5, 8, 9, 16, 17, 31, 32, 64, 81, 100, 128, 255, 256)]
+              + [(4, 64), (64, 4), (3, 27), (27, 3), (1, 5), (5, 1), (300, 700), (700, 300)])
+
+    @staticmethod
+    def numpy_svdvals(a):
+        return np.linalg.svd(a, compute_uv=False)
+
+    def test_bit_equal_to_numpy(self):
+        rng = np.random.default_rng(17)
+        for m, n in self.SHAPES:
+            a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            before = a.copy()
+            assert np.array_equal(qinfo._svdvals(a), self.numpy_svdvals(a)), (m, n)
+            assert np.array_equal(a, before)
+
+    def test_haar_choi_matrices_bit_equal(self):
+        for seed in range(5):
+            c = choi_vector(haar_unitary(256, seed), 16).reshape(256, -1)
+            assert np.array_equal(qinfo._svdvals(c), self.numpy_svdvals(c))
+
+    def test_views_and_other_dtypes(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
+        for m in (a.T, a[::2, 1:], a.real, a.astype(np.complex64)):
+            assert np.array_equal(qinfo._svdvals(m), self.numpy_svdvals(m))
+
+    def test_non_finite_input_as_numpy(self):
+        a = np.ones((4, 4), dtype=complex)
+        a[1, 2] = np.nan
+        for svdvals in (qinfo._svdvals, self.numpy_svdvals):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                svdvals(a)
+        a[1, 2] = np.inf
+        assert np.isnan(qinfo._svdvals(a)).all() and np.isnan(self.numpy_svdvals(a)).all()
+
+    def test_numpy_fallback_without_the_library(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        kernel = qinfo._svdvals(a)
+        monkeypatch.setattr(qinfo, "_zgesdd", lambda: None)
+        assert np.array_equal(qinfo._svdvals(a), kernel)
+
+    def test_threads_bit_equal_to_one_loop(self):
+        # workspaces are per thread, so concurrent calls of one shape never
+        # share LAPACK work arrays
+        rng = np.random.default_rng(8)
+        mats = [rng.standard_normal((m, 9)) + 1j * rng.standard_normal((m, 9))
+                for m in (9, 3, 9, 27) * 50]
+        serial = [qinfo._svdvals(a) for a in mats]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(qinfo._svdvals, mats))
+        assert all(np.array_equal(x, y) for x, y in zip(serial, threaded))
+
+    def test_no_copy_of_the_input_is_kept(self):
+        v = np.random.default_rng(2).standard_normal(2 ** 20) + 0j  # 16 MB
+        schmidt_probs(v, 16)  # the library lookups are cached on a first call
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = schmidt_probs(v, 64)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert p.shape == (64,)
+        assert kept < 2 ** 16
 
 
 class TestDistances:
