@@ -1,6 +1,7 @@
 """Brickwork evolution of an exact matrix-product state on a finite open
 chain, the Schmidt weights of any chain of site tensors, entanglement
-profiles, zigzag detection and the four-party growth audit.
+profiles and their relay check, zigzag detection and the four-party growth
+audit.
 
 The finite open chain stands in for an infinite lattice: central-cut values
 are only trusted while the light cone from the cut has not reached a
@@ -13,7 +14,6 @@ that already carry the alternating pattern.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -205,15 +205,15 @@ class EntanglementRecord:
         diffs = np.diff(self.profiles, axis=0)
         return float(diffs.max()) if diffs.size else 0.0
 
-    def to_csv(self, stream) -> None:
-        """Write the record as CSV rows to a text stream (a file opened
-        with ``newline=""``): ``t,bond,entropy_nats,light_cone_valid``."""
-        w = csv.writer(stream)
-        w.writerow(["t", "bond", "entropy_nats", "light_cone_valid"])
-        for i, t in enumerate(self.times):
-            for b in range(self.L - 1):
-                w.writerow([t, b, repr(float(self.profiles[i, b])),
-                            str(bool(self.light_cone_valid[i])).lower()])
+    def relay_deviation(self, t0: int) -> float:
+        """max |S(t) - S(t0) - (t - t0) ln q| at the central cut over every
+        t > t0 of t0's parity inside the light cone; 0.0 if there is none.
+        Zero is the zigzag relay of a maximal entanglement velocity."""
+        lnq = math.log(self.q)
+        central = self.central_series()
+        return float(max((abs((central[t] - central[t0]) - (t - t0) * lnq)
+                          for t in range(t0 + 2, len(central), 2) if self.light_cone_valid[t]),
+                         default=0.0))
 
 
 def bond_entropies(state: PureState) -> np.ndarray:
@@ -229,35 +229,24 @@ def _svd_cut(m: np.ndarray):
     return u[:, keep], s[keep], vh[keep]
 
 
-def _left_canonical(initial) -> list:
-    """Site tensors of a dense state or chain split by sequential SVD from
-    the left: every tensor but the last is an isometry from (left bond, site)
-    to its right bond, so the last one holds the norm and a sweep can start
-    at the right end.  A chain of site tensors (chi_l, d, chi_r) with unit
-    outer bonds is re-split one site at a time; its sites may differ in d."""
-    if isinstance(initial, PureState):
-        chain, dims, rest = None, initial.dims, initial.amplitudes.reshape(1, -1)
-    else:
-        chain = [np.asarray(a, dtype=complex) for a in initial]
-        if (any(a.ndim != 3 for a in chain)
-                or [a.shape[0] for a in chain] != [1] + [a.shape[2] for a in chain[:-1]]
-                or chain[-1].shape[2] != 1):
-            raise ValueError("site tensors (chi_l, d, chi_r) must chain with unit outer "
-                             f"bonds, got shapes {[a.shape for a in chain]}")
-        dims, rest = tuple(a.shape[1] for a in chain), np.ones((1, 1), dtype=complex)
-
-    def rows_at(b, rest):
-        """rest with site b moved into its rows, the rest of the chain in its columns."""
-        if chain is None:
-            return rest.reshape(rest.shape[0] * dims[b], -1)
-        return contract_chain(rest, chain[b:b + 1])
-
-    sites = []
-    for b in range(len(dims) - 1):
-        u, s, vh = _svd_cut(rows_at(b, rest))
-        sites.append(u.reshape(rest.shape[0], dims[b], -1))
+def _left_canonical(chain) -> list:
+    """A chain of site tensors (chi_l, d, chi_r) with unit outer bonds,
+    re-split one site at a time by sequential SVD from the left: every
+    tensor but the last is an isometry from (left bond, site) to its right
+    bond, so the last one holds the norm and a sweep can start at the right
+    end.  Its sites may differ in d."""
+    chain = [np.asarray(a, dtype=complex) for a in chain]
+    if (any(a.ndim != 3 for a in chain)
+            or [a.shape[0] for a in chain] != [1] + [a.shape[2] for a in chain[:-1]]
+            or chain[-1].shape[2] != 1):
+        raise ValueError("site tensors (chi_l, d, chi_r) must chain with unit outer "
+                         f"bonds, got shapes {[a.shape for a in chain]}")
+    sites, rest = [], np.ones((1, 1), dtype=complex)
+    for a in chain[:-1]:
+        u, s, vh = _svd_cut(contract_chain(rest, [a]))
+        sites.append(u.reshape(rest.shape[0], a.shape[1], -1))
         rest = s[:, None] * vh
-    sites.append(rows_at(len(dims) - 1, rest).reshape(-1, dims[-1], 1))
+    sites.append(contract_chain(rest, chain[-1:]).reshape(-1, chain[-1].shape[1], 1))
     return sites
 
 
@@ -293,15 +282,13 @@ def chain_probs(sites) -> list:
     return _sweep(_left_canonical(sites), {}, rightward=False)
 
 
-def evolve(
-    circuit: BrickworkCircuit, initial: PureState | Sequence[np.ndarray], T: int
-) -> EntanglementRecord:
+def evolve(circuit: BrickworkCircuit, initial: Sequence[np.ndarray], T: int) -> EntanglementRecord:
     """Apply T alternating brickwork layers to an exact matrix-product state,
     recording bond entropies after each layer; the central-cut flag goes
     false once 2t + 2 > L.
 
-    ``initial`` is a dense state or its site tensors (chi_l, q, chi_r) with
-    unit outer bonds, as the ``*_sites`` builders give.  Layer t (none at
+    ``initial`` is a chain of site tensors (chi_l, q, chi_r) with unit
+    outer bonds, as the ``*_sites`` builders give.  Layer t (none at
     t = 0) is one canonical sweep, rightward at odd t, so every bond
     spectrum costs one SVD per layer (see ``_sweep``); singular values at
     or below SV_CUT times the largest at a cut are dropped, and the

@@ -64,6 +64,15 @@ def load_gate(name_or_path: str, q: int, J: float, b: float, h: float) -> gates.
         f"unknown gate {name_or_path!r} (named gates: {', '.join(NAMED_GATES)})")
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text of a header row and then the data rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_atomic(files: dict) -> None:
     """Write each {path: text} entry through a temp file in the target's
     directory.  Every temp file is written before any is renamed into place,
@@ -127,22 +136,20 @@ def _cmd_zigzag(args):
 
     lnq = math.log(q)
     central = rec.central_series()
-    even_ts = [t for t in rec.times if t and t % 2 == 0 and rec.light_cone_valid[t]]
     # growth form: S(t) - S(0) = t ln q at even t; identical to S(t) = t ln q
     # when the central cut starts at zero (a valley), and phase-correct when
     # the chain length puts a dimer peak on the central cut
-    worst = 0.0
-    for t in even_ts:
-        worst = max(worst, abs((central[t] - central[0]) - t * lnq))
+    worst = rec.relay_deviation(0)
     ok = worst <= 1e-9
+    step = rec.max_step_increase()
     doc = {
         "params": {"q": q, "L": L, "steps": T, "gate": args.gate, "J": args.J,
                    "b": args.b, "h": args.h, "initial": args.initial,
                    "first_parity": parity},
         "central_cut": rec.central_cut(),
         "central_entropy_nats": [float(x) for x in central],
-        "max_step_increase": rec.max_step_increase(),
-        "per_gate_bound_ok": rec.max_step_increase() <= 2 * lnq + 1e-9,
+        "max_step_increase": step,
+        "per_gate_bound_ok": step <= 2 * lnq + 1e-9,
         "target": "S(t) - S(0) = t*ln(q) at even t within the light cone",
         "tolerance": 1e-9,
         "max_even_t_deviation": worst,
@@ -152,9 +159,10 @@ def _cmd_zigzag(args):
         doc["central_entropy_bits_display"] = [float(x / math.log(2)) for x in central]
     ok = ok and doc["per_gate_bound_ok"]  # --assert also holds the per-gate bound
     if args.format == "csv":
-        buf = io.StringIO()
-        rec.to_csv(buf)
-        return doc, ok, buf.getvalue(), {}
+        rows = ([t, b, repr(float(x)), str(valid).lower()]
+                for t, (profile, valid) in enumerate(zip(rec.profiles, rec.light_cone_valid))
+                for b, x in enumerate(profile))
+        return doc, ok, _csv_text(["t", "bond", "entropy_nats", "light_cone_valid"], rows), {}
     doc["record"] = [
         {"t": int(t), "profile_nats": [float(x) for x in rec.profiles[i]],
          "light_cone_valid": bool(rec.light_cone_valid[i])}
@@ -180,10 +188,8 @@ def _cmd_kicked_ising(args):
     ln2 = math.log(2)
     ok_zig, parity = ckt.zigzag_check(rec.profiles[zig_time], 2, tol=1e-9)
     central = rec.central_series()
-    growth_ok = True
-    for t in range(zig_time + 2, T + 1, 2):
-        if rec.light_cone_valid[t]:
-            growth_ok &= abs((central[t] - central[t - 2]) - 2 * ln2) <= 1e-9
+    # the relay from the zigzag time on: S(t) - S(t0) = (t - t0) ln 2
+    growth_ok = rec.relay_deviation(zig_time) <= 1e-9
     ok = bool(ok_zig and growth_ok)
     doc = {
         "params": {"L": L, "steps": T, "class": args.klass, "J": args.J,
@@ -208,7 +214,7 @@ def _cmd_mps(args):
         pair = mps.random_solvable(args.q, args.chi, args.seed)
     defect = mps.solvability_defect(pair)
     gap = mps.transfer_gap(pair)
-    p_ab, p_ba = mps.interior_cut_probs(pair, n_cells=args.cells)
+    p_ab, p_ba = mps.interior_cut_probs(pair)
     e_ab, e_ba = entropy_from_probs(p_ab), entropy_from_probs(p_ba)
     pur2, pur3 = float((p_ab ** 2).sum()), float((p_ab ** 3).sum())
     chi_q = pair.chi * pair.q
@@ -220,7 +226,7 @@ def _cmd_mps(args):
         and abs(pur3 - 1.0 / chi_q ** 2) <= tol
     )
     doc = {
-        "params": {"q": pair.q, "chi": pair.chi, "cells": args.cells},
+        "params": {"q": pair.q, "chi": pair.chi},
         "seed": args.seed,
         "solvability_defect": defect,
         "transfer_gap": gap,
@@ -240,15 +246,6 @@ def _cmd_mps(args):
         doc["E_BA_bits_display"] = e_ba / math.log(2)
     saved = {args.save: mps.pair_json(pair)} if args.save else {}
     return doc, ok, None, saved
-
-
-def _raw_csv(values) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["index", "value"])
-    for i, v in enumerate(values):
-        w.writerow([i, repr(float(v))])
-    return buf.getvalue()
 
 
 #: subcommand -> (sampler name in ``ensemble``, looked up at call time so a
@@ -275,7 +272,8 @@ def _cmd_fidelity(args):
         "tolerance": args.tolerance,
         "pass": bool(ok),
     }
-    raw = {args.raw: _raw_csv(stats.values)} if args.raw else {}
+    rows = ([i, repr(float(v))] for i, v in enumerate(stats.values))
+    raw = {args.raw: _csv_text(["index", "value"], rows)} if args.raw else {}
     return doc, ok, None, raw
 
 
@@ -369,6 +367,10 @@ def _cmd_scan_eps_delta(args):
         raise ValueError(f"--theta-min {args.theta_min!r} must be below "
                          f"--theta-max {args.theta_max!r}")
     base = load_gate(args.base, args.q, args.J, args.b, args.h)
+    defect = gates.choi_defect(base)
+    if defect > 1e-10:
+        raise ValueError(f"--base {args.base} is not dual unitary: its choi_defect "
+                         f"{defect!r} exceeds 1e-10")
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))
     points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
@@ -410,17 +412,12 @@ def _cmd_scan_eps_delta(args):
             for p in points
         ]
         return doc, ok, None, {}
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["theta", "epsilon", "delta", "delta_unnormalized", "dist_to_projection",
-                "certificate_bound"])
-    for p, d_un in zip(points, d_uns):
-        w.writerow([
-            repr(p.theta), repr(p.epsilon), repr(p.delta), repr(d_un),
-            "" if p.dist_to_projection is None else repr(p.dist_to_projection),
-            repr(14 * math.sqrt(d_un)),
-        ])
-    return doc, ok, buf.getvalue(), {}
+    rows = ([repr(p.theta), repr(p.epsilon), repr(p.delta), repr(d_un),
+             "" if p.dist_to_projection is None else repr(p.dist_to_projection),
+             repr(14 * math.sqrt(d_un))]
+            for p, d_un in zip(points, d_uns))
+    return doc, ok, _csv_text(["theta", "epsilon", "delta", "delta_unnormalized",
+                               "dist_to_projection", "certificate_bound"], rows), {}
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mps", help="solvable matrix product state checks")
     p.add_argument("--q", type=_at_least(2), default=2)
     p.add_argument("--chi", type=_at_least(1), default=2)
-    p.add_argument("--cells", type=_at_least(1), default=3)
     p.add_argument("--load", help="load an MPS pair from a JSON file instead of sampling")
     p.add_argument("--save", help="save the pair to a JSON file (written with --out)")
     p.add_argument("--bits", action="store_true")

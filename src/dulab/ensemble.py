@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .gates import Gate, choi_defect, choi_probs, haar_unitary, nearest_dual_q2
+from .gates import Gate, _defect_from_probs, choi_defect, choi_probs, haar_unitary, nearest_dual_q2
 from .qinfo import _one_blas_thread, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
@@ -240,7 +240,7 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
             EpsDeltaPoint(
                 theta=theta,
                 epsilon=_floor(eps_terms.sum()),
-                delta=_floor(np.abs(p - 1 / d).sum()),
+                delta=_floor(_defect_from_probs(p, q)),
                 dist_to_projection=dist,
             )
         )

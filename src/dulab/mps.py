@@ -111,16 +111,17 @@ def environment_sites(pair: MPSPair, n_cells: int) -> list:
     return [env.reshape(1, pair.chi, pair.chi)] + cells + [env.reshape(pair.chi, pair.chi, 1)]
 
 
-def interior_cut_probs(pair: MPSPair, n_cells: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Schmidt weights (p_AB, p_BA) of the infinite chain: the A:B cut in the
-    middle cell of ``environment_sites``, and the B:A cut after it, read
-    from one canonical sweep (``circuit.chain_probs``).
+def interior_cut_probs(pair: MPSPair) -> tuple[np.ndarray, np.ndarray]:
+    """Schmidt weights (p_AB, p_BA) of the infinite chain: the A:B and B:A
+    cuts (bonds 1 and 2) of one cell between its environment legs
+    (``environment_sites(pair, 1)``), read from one canonical sweep
+    (``circuit.chain_probs``).
 
-    The boundary legs carry the transfer fixed-point environments, making
-    boundary effects on interior cuts exactly zero (far below the 1e-9
-    budget).  The pair is checked first: a non-solvable pair is a
-    ValueError, and a transfer gap below GAP_TOL is flagged as degenerate
-    rather than assumed away.
+    The environment legs carry the transfer fixed points, so these cuts
+    carry no boundary effects and more cells would change nothing.  The
+    pair is checked first: a non-solvable pair is a ValueError, and a
+    transfer gap below GAP_TOL is flagged as degenerate rather than assumed
+    away.
     """
     defect = solvability_defect(pair)
     if defect > SOLVABLE_TOL:
@@ -131,23 +132,21 @@ def interior_cut_probs(pair: MPSPair, n_cells: int = 3) -> tuple[np.ndarray, np.
             f"transfer gap {gap:.3e} below {GAP_TOL}: fixed point not unique enough "
             "for interior-cut extraction"
         )
-    probs = chain_probs(environment_sites(pair, n_cells))
-    # bonds: 0 = env|A-cell...; the A:B cut inside cell k is bond 2k + 1
-    ab = 2 * (n_cells // 2) + 1
-    return probs[ab], probs[ab + 1]
+    _, p_ab, p_ba = chain_probs(environment_sites(pair, 1))
+    return p_ab, p_ba
 
 
-def cut_entropies_exact(pair: MPSPair, n_cells: int = 3) -> tuple[float, float]:
+def cut_entropies_exact(pair: MPSPair) -> tuple[float, float]:
     """Interior cut entropies (E_AB, E_BA) of the infinite chain."""
-    p_ab, p_ba = interior_cut_probs(pair, n_cells)
+    p_ab, p_ba = interior_cut_probs(pair)
     return entropy_from_probs(p_ab), entropy_from_probs(p_ba)
 
 
-def replica_purity(pair: MPSPair, n: int, n_cells: int = 3) -> float:
+def replica_purity(pair: MPSPair, n: int) -> float:
     """tr(rho_Q^n) at an interior A:B cut of the infinite chain."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float((interior_cut_probs(pair, n_cells)[0] ** n).sum())
+    return float((interior_cut_probs(pair)[0] ** n).sum())
 
 
 # ---------------------------------------------------------------------------

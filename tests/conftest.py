@@ -21,6 +21,18 @@ def random_pure(dims, seed=0):
     return PureState(v / np.linalg.norm(v), dims)
 
 
+def chain_sites(state: PureState) -> list:
+    """Site tensors (chi_l, d, chi_r) with unit outer bonds of a dense state,
+    split by sequential QR from the left; the last site holds the norm."""
+    sites, rest = [], state.amplitudes.reshape(1, -1)
+    for d in state.dims[:-1]:
+        q, r = np.linalg.qr(rest.reshape(rest.shape[0] * d, -1))
+        sites.append(q.reshape(rest.shape[0], d, -1))
+        rest = r
+    sites.append(rest.reshape(-1, state.dims[-1], 1))
+    return sites
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

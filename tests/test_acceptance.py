@@ -39,7 +39,7 @@ from dulab.qinfo import (
     reduce,
     sandwiched_renyi,
 )
-from conftest import random_density, random_pure
+from conftest import chain_sites, random_density, random_pure
 
 LN2 = math.log(2.0)
 QUARTER = math.pi / 4
@@ -99,9 +99,9 @@ def test_criterion_2_per_gate_bound():
         (BrickworkCircuit(L=10, q=2, gate=haar_gate(2, 101), first_parity="odd"),
          dimer_sites(10, 2), 4),
         (BrickworkCircuit(L=10, q=2, gate=fourier_gate(2)),
-         random_pure((2,) * 10, seed=55), 4),
+         chain_sites(random_pure((2,) * 10, seed=55)), 4),
         (BrickworkCircuit(L=8, q=2, gate=cz_gate(2)),
-         random_pure((2,) * 8, seed=56), 4),
+         chain_sites(random_pure((2,) * 8, seed=56)), 4),
         (BrickworkCircuit(L=8, q=3, gate=haar_gate(3, 102)),
          dimer_sites(8, 3), 3),
     ]

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from dulab import circuit as ckt
 from dulab.circuit import (
     BrickworkCircuit,
     CapacityError,
+    EntanglementRecord,
     bond_entropies,
     chain_probs,
     contract_chain,
@@ -29,7 +32,8 @@ from dulab.gates import (
     swap_gate,
 )
 from dulab.qinfo import PureState, bell_state, entropy_vn, kron_states, marginal_probs, reduce
-from conftest import random_pure
+from dulab.cli import main
+from conftest import chain_sites, random_pure
 
 LN2 = math.log(2.0)
 QUARTER = math.pi / 4
@@ -117,7 +121,7 @@ class TestEvolve:
         L = 8
         circ = BrickworkCircuit(L=L, q=2, gate=identity_gate(2))
         psi = random_pure((2,) * L, seed=3)
-        rec = evolve(circ, psi, 3)
+        rec = evolve(circ, chain_sites(psi), 3)
         for t in range(1, 4):
             assert np.allclose(rec.profiles[t], rec.profiles[0], atol=1e-10)
 
@@ -149,7 +153,7 @@ class TestEvolve:
                                              r"match circuit \(L = 6, q = 2\)"):
             evolve(circ, dimer_sites(4, 2), 1)
         with pytest.raises(ValueError, match="do not match circuit"):
-            evolve(circ, random_pure((2, 3, 2, 2, 2, 2), seed=1), 1)
+            evolve(circ, chain_sites(random_pure((2, 3, 2, 2, 2, 2), seed=1)), 1)
 
     def test_per_layer_increase_bounded(self):
         L = 10
@@ -179,15 +183,63 @@ class TestEvolve:
         with pytest.raises(ValueError, match="q = 3"):
             BrickworkCircuit(L=4, q=2, gate=haar_gate(3, 1))
 
-    def test_record_csv(self, tmp_path):
-        circ = BrickworkCircuit(L=4, q=2, gate=swap_gate(2))
-        rec = evolve(circ, dimer_sites(4, 2), 1)
-        path = tmp_path / "rec.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            rec.to_csv(fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,bond,entropy_nats,light_cone_valid"
-        assert len(lines) == 1 + 2 * 3
+    def test_record_csv(self, capsys):
+        # the CSV that ``dulab zigzag`` emits: one row per (t, bond) of the record
+        assert main(["zigzag", "--q", "2", "--L", "6", "--steps", "2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["t", "bond", "entropy_nats", "light_cone_valid"]
+        circ = BrickworkCircuit(L=6, q=2, gate=swap_gate(2), first_parity="odd")
+        rec = evolve(circ, dimer_sites(6, 2), 2)
+        assert rows[1:] == [[str(t), str(b), repr(float(rec.profiles[t, b])),
+                             str(rec.light_cone_valid[t]).lower()]
+                            for t in rec.times for b in range(5)]
+
+
+def planted_record(q: int, L: int, T: int, t0: int, bumps=()) -> EntanglementRecord:
+    """A record whose central cut relays exactly from t0, S(t) = (t - t0) ln q,
+    plus the (t, size) bumps; the other cuts hold unrelated values."""
+    rng = np.random.default_rng(7)
+    profiles = rng.uniform(0, 3, size=(T + 1, L - 1))
+    rec = EntanglementRecord(profiles=profiles, q=q)
+    profiles[:, rec.central_cut()] = [(t - t0) * math.log(q) for t in rec.times]
+    for t, size in bumps:
+        profiles[t, rec.central_cut()] += size
+    return rec
+
+
+class TestRelayDeviation:
+    # L = 12, T = 7: the light cone holds t <= 5
+    @pytest.mark.parametrize("t0", [0, 1, 2])
+    def test_exact_relay_is_zero(self, t0):
+        for q in (2, 3):
+            assert planted_record(q, 12, 7, t0).relay_deviation(t0) == 0.0
+
+    @pytest.mark.parametrize("t0", [0, 1, 2])
+    def test_bump_reported_exactly(self, t0):
+        t = t0 + 2
+        rec = planted_record(2, 12, 7, t0, bumps=[(t, 1e-3), (t + 2, -4e-4)])
+        central = rec.central_series()
+        want = abs((central[t] - central[t0]) - (t - t0) * LN2)
+        assert rec.relay_deviation(t0) == want
+        assert want == pytest.approx(1e-3, abs=1e-15)
+
+    @pytest.mark.parametrize("t0", [0, 1, 2])
+    def test_other_parity_outside_light_cone_and_before_t0_ignored(self, t0):
+        # t0 + 1 and t0 + 3 have the other parity; 6 + t0 % 2 has t0's parity
+        # but lies past the light cone
+        bumps = [(t0 + 1, 0.5), (t0 + 3, 0.5), (6 + t0 % 2, 0.5)]
+        bumps += [(t, 0.5) for t in range(t0)]
+        assert planted_record(2, 12, 7, t0, bumps).relay_deviation(t0) == 0.0
+
+    def test_no_time_to_check_is_zero(self):
+        # L = 6 holds t <= 2, so nothing after t0 = 1 or t0 = 2 is checked
+        for t0 in (1, 2):
+            rec = planted_record(2, 6, 4, t0, bumps=[(t0 + 2, 0.5)])
+            assert rec.relay_deviation(t0) == 0.0
+
+    def test_swap_dimer_relay(self):
+        circ = BrickworkCircuit(L=12, q=2, gate=swap_gate(2), first_parity="odd")
+        assert evolve(circ, dimer_sites(12, 2), 5).relay_deviation(0) <= 1e-9
 
 
 class TestZigzag:

@@ -29,6 +29,7 @@ from dulab.mps import (
     solvability_defect,
     transfer_gap,
 )
+from conftest import chain_sites
 
 QUARTER = math.pi / 4
 
@@ -126,13 +127,30 @@ class TestDenseState:
     def test_capacity_guard(self, monkeypatch):
         # the budget counts site-tensor entries: 2 chi^2 for the environment
         # legs plus 2 q chi^2 q per cell, 8 + 3 * 32 = 104 at q = chi = 2,
-        # three cells; the exact sweep keeps every bond at its input size
+        # three cells, and 8 + 32 = 40 for the one cell of
+        # ``interior_cut_probs``; the exact sweep keeps every bond at its
+        # input size
         pair = random_solvable(2, 2, seed=5)
         monkeypatch.setenv(CAPACITY_ENV, "103")
         with pytest.raises(CapacityError, match="state of 104 amplitudes exceeds the budget 103"):
-            interior_cut_probs(pair, 3)
+            chain_probs(environment_sites(pair, 3))
         monkeypatch.setenv(CAPACITY_ENV, "104")
-        interior_cut_probs(pair, 3)
+        chain_probs(environment_sites(pair, 3))
+        monkeypatch.setenv(CAPACITY_ENV, "39")
+        with pytest.raises(CapacityError, match="state of 40 amplitudes exceeds the budget 39"):
+            interior_cut_probs(pair)
+        monkeypatch.setenv(CAPACITY_ENV, "40")
+        interior_cut_probs(pair)
+
+    def test_long_chain_within_budget(self, monkeypatch):
+        # 12 cells at q = 3, chi = 2: 8 + 12 * 72 = 872 site-tensor entries,
+        # where a dense vector would hold 3^24 * 2^2 (about 1.1e12)
+        # amplitudes; the middle cell still reads the closed forms
+        pair = random_solvable(3, 2, seed=3)
+        monkeypatch.setenv(CAPACITY_ENV, "872")
+        probs = chain_probs(environment_sites(pair, 12))
+        assert entropy_from_probs(probs[13]) == pytest.approx(math.log(6), abs=1e-8)
+        assert entropy_from_probs(probs[14]) == pytest.approx(math.log(2), abs=1e-8)
 
 
 class TestCutEntropies:
@@ -154,10 +172,25 @@ class TestCutEntropies:
         for n_cells in range(1, 6):
             psi = dense_state(pair, n_cells)
             ab = 2 * (n_cells // 2) + 1
-            for p, cut in zip(interior_cut_probs(pair, n_cells), (ab, ab + 1)):
+            probs = chain_probs(environment_sites(pair, n_cells))
+            for p, cut in zip(probs[ab:ab + 2], (ab, ab + 1)):
                 want = np.sort(marginal_probs(psi, range(cut + 1)))[::-1]
                 got = np.pad(np.sort(p)[::-1], (0, len(want) - len(p)))
                 assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("q,chi", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_independent_of_cell_count(self, q, chi):
+        # the middle cell of n = 1-5 cells has the spectra of the one cell
+        # that ``interior_cut_probs`` reads; over q = 2, 3, chi = 1-4 and
+        # seeds 1-40 the worst weight difference was 5.0e-16
+        pair = random_solvable(q, chi, seed=2)
+        ref = interior_cut_probs(pair)
+        for n_cells in range(1, 6):
+            ab = 2 * (n_cells // 2) + 1
+            probs = chain_probs(environment_sites(pair, n_cells))
+            for p, want in zip(probs[ab:ab + 2], ref):
+                assert len(p) == len(want)
+                assert np.abs(np.sort(p) - np.sort(want)).max() <= 1e-15
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_closed_forms_to_rounding(self, q):
@@ -196,13 +229,18 @@ class TestCutEntropies:
     @pytest.mark.parametrize("q,chi,n_cells", [(2, 1, 3), (2, 2, 3), (3, 2, 2), (2, 2, 4)])
     def test_reductions_of_one_realization(self, q, chi, n_cells):
         # the entropies and purities are bit-identical reductions of the
-        # two interior spectra
+        # two interior spectra, which the middle cell of an n_cells
+        # realization holds to rounding (bound as in the cell-count test)
         pair = random_solvable(q, chi, seed=60)
-        p_ab, p_ba = interior_cut_probs(pair, n_cells)
-        e_ab, e_ba = cut_entropies_exact(pair, n_cells)
+        p_ab, p_ba = interior_cut_probs(pair)
+        e_ab, e_ba = cut_entropies_exact(pair)
         assert e_ab == entropy_from_probs(p_ab) and e_ba == entropy_from_probs(p_ba)
         for n in (1, 2, 3):
-            assert replica_purity(pair, n, n_cells) == float((p_ab ** n).sum())
+            assert replica_purity(pair, n) == float((p_ab ** n).sum())
+        ab = 2 * (n_cells // 2) + 1
+        probs = chain_probs(environment_sites(pair, n_cells))
+        for p, want in zip(probs[ab:ab + 2], (p_ab, p_ba)):
+            assert np.abs(np.sort(p) - np.sort(want)).max() <= 1e-15
 
 
 class TestReplicaPurity:
@@ -227,7 +265,7 @@ class TestEvolveIntegration:
         # 10 qubits, valleys on odd bonds, once the unit environment legs go
         psi = PureState(dense_state(pair, 5).amplitudes, (2,) * 10)
         circ = BrickworkCircuit(L=10, q=2, gate=swap_gate(2), first_parity="odd")
-        rec = evolve(circ, psi, 4)
+        rec = evolve(circ, chain_sites(psi), 4)
         central = rec.central_series()
         # the central bond sits inside a cell (a peak), so it grows on the
         # even layers; growth is 2 ln q per two layers either way

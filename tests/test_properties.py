@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_pure
+from conftest import chain_sites, random_pure
 from dulab.circuit import (
     BrickworkCircuit,
     bond_entropies,
@@ -376,7 +376,7 @@ ORACLE_SIZES = tuple((q, L) for q in (2, 3) for L in range(4, 13, 2))
 def test_mps_evolve_matches_dense_oracle(circuit, T, seed):
     state = random_pure((circuit.q,) * circuit.L, seed=seed)
     want = dense_evolve(circuit, state, T)
-    assert np.abs(evolve(circuit, state, T).profiles - want).max() <= 1e-12
+    assert np.abs(evolve(circuit, chain_sites(state), T).profiles - want).max() <= 1e-12
 
 
 def planted_state(q: int, L: int, cut: int, small, seed: int) -> PureState:
@@ -407,11 +407,11 @@ def test_mps_truncation_edge_matches_dense_oracle(circuit, T, data):
         cut = data.draw(st.integers(1, L - 3))
         small = data.draw(st.lists(log_uniform(1e-15, 1e-12), min_size=1, max_size=3))
         state = planted_state(q, L, cut, small, data.draw(seeds))
-        inputs = (state,)
+        inputs = (chain_sites(state),)
     else:
         sites = dimer_sites(L, q) if kind == "dimer" else product_sites(L, q)
         state = PureState(contract_chain(np.ones((1, 1)), sites).reshape(-1), (q,) * L)
-        inputs = (state, sites)
+        inputs = (chain_sites(state), sites)
     want = dense_evolve(circuit, state, T)
     for initial in inputs:
         profiles = evolve(circuit, initial, T).profiles
