@@ -18,9 +18,9 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .gates import Gate, _defect_from_probs, choi_defect, choi_probs, haar_unitary, nearest_dual_q2
+from .gates import (Gate, _defect_from_probs, choi_defect, choi_probs, haar_unitary,
+                    nearest_dual_q2, perturbed)
 from .qinfo import _one_blas_thread, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
@@ -227,7 +227,7 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
     points = []
     for theta in thetas:
         theta = float(theta)
-        u = Gate(q, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+        u = perturbed(base, theta, h)
         p = choi_probs(u.matrix, q)
         eps_terms = np.full(d, 1 / d)  # 0 ln 0 = 0: a zero weight adds 1/d
         nz = p > 0

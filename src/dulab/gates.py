@@ -15,11 +15,12 @@ the choi = gram / q^2 identity hold):
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .qinfo import DensityMatrix, PureState, reduce, schmidt_probs, trace_norm, unitarity_defect
 
@@ -31,7 +32,33 @@ QUARTER = math.pi / 4
 CHAMBER_WALL = 1e-12
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+#: diagonals of Z, Z (x) Z and Z (x) I + I (x) Z in the product basis
+_Z = np.array([1.0, -1.0])
+_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
+_Z_SUM = np.array([2.0, 0.0, 0.0, -2.0])
+
+
+def _lazy_module(name: str):
+    """Register ``name`` in ``sys.modules`` now and run its code on first
+    attribute access, so that importing dulab does not pay for it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+#: scipy.linalg runs on the first ``perturbed`` call (its ``expm``) and not
+#: before: nothing else needs it, and importing it doubles the start-up
+#: time.  It is registered at import all the same, because code that wraps
+#: ``scipy.linalg.expm`` from outside (the benchmark's tracer) finds the
+#: module in ``sys.modules``
+_scipy_linalg = _lazy_module("scipy.linalg")
 
 # columns are the Bell-like basis in which two-qubit interactions
 # exp(-i sum J sigma sigma) are diagonal and one-site unitaries are real
@@ -137,18 +164,25 @@ def fourier_gate(q: int) -> Gate:
 
 
 def kicked_ising_gate(J: float, b: float, h: float) -> Gate:
-    """Bulk kicked-Ising gate: Z-rotations, ZZ coupling, X kicks, ZZ, Z-rotations."""
-    rz = scipy.linalg.expm(-1j * h * _Z / 2)
-    rx = scipy.linalg.expm(-1j * b * _X)
-    zz = scipy.linalg.expm(-1j * J * np.kron(_Z, _Z))
+    """Bulk kicked-Ising gate: Z-rotations, ZZ coupling, X kicks, ZZ,
+    Z-rotations, each in closed form: Rz = e^{-i h Z/2} = diag(e^{-i h/2},
+    e^{i h/2}), e^{-i J Z Z} diagonal, Rx = e^{-i b X} = cos b I - i sin b X."""
+    rz = np.diag(np.exp(-1j * (h / 2) * _Z))
+    rx = math.cos(b) * np.eye(2) - 1j * math.sin(b) * _X
+    zz = np.diag(np.exp(-1j * J * _ZZ))
     m = np.kron(rz, rz) @ zz @ np.kron(rx, rx) @ zz @ np.kron(rz, rz)
     return Gate(2, m)
 
 
 def kicked_ising_first_gate(J: float, h: float) -> Gate:
-    """First-layer gate exp(-i J Z1 Z2 - i h Z1/2 - i h Z2/2)."""
-    ham = J * np.kron(_Z, _Z) + (h / 2) * (np.kron(_Z, np.eye(2)) + np.kron(np.eye(2), _Z))
-    return Gate(2, scipy.linalg.expm(-1j * ham))
+    """First-layer gate exp(-i J Z1 Z2 - i h Z1/2 - i h Z2/2), diagonal."""
+    return Gate(2, np.diag(np.exp(-1j * (J * _ZZ + (h / 2) * _Z_SUM))))
+
+
+def perturbed(base: Gate, theta: float, h: np.ndarray) -> Gate:
+    """base exp(-i theta h): the gate a distance ~theta from ``base`` along
+    the Hermitian direction h."""
+    return Gate(base.q, base.matrix @ _scipy_linalg.expm(-1j * theta * h))
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

