@@ -25,6 +25,7 @@ from .gates import Gate
 from .qinfo import (
     DensityMatrix,
     PureState,
+    _one_blas_thread,
     apply_unitary,
     bell_state,
     entropy_from_probs,
@@ -143,34 +144,18 @@ class BrickworkCircuit:
             raise ValueError(f"L must be even and >= 4, got {self.L}")
         if self.first_parity not in ("even", "odd"):
             raise ValueError(f"first_parity must be 'even' or 'odd', got {self.first_parity!r}")
-        for g in self._all_gates():
-            if g.q != self.q:
+        for g in (self.gate, self.first_layer_override, *(self.bond_gates or {}).values()):
+            if g is not None and g.q != self.q:
                 raise ValueError(f"gate with q = {g.q} in a q = {self.q} circuit")
 
-    def _all_gates(self):
-        yield self.gate
-        if self.first_layer_override is not None:
-            yield self.first_layer_override
-        for g in (self.bond_gates or {}).values():
-            yield g
-
-    def layer_parity(self, t: int) -> str:
-        first = self.first_parity
-        other = "odd" if first == "even" else "even"
-        return first if t % 2 == 1 else other
-
-    def layer_bonds(self, t: int) -> range:
-        start = 0 if self.layer_parity(t) == "even" else 1
-        return range(start, self.L - 1, 2)
-
-    def gate_for(self, t: int, bond: int) -> Gate:
-        if t == 1 and self.first_layer_override is not None:
-            return self.first_layer_override
-        if self.bond_gates:
-            g = self.bond_gates.get(bond)
-            if g is not None:
-                return g
-        return self.gate
+    def layer(self, t: int) -> dict:
+        """Layer t >= 1 as {bond: gate matrix}: the bonds of ``first_parity``
+        at odd t and the other bonds at even t."""
+        start = int((t % 2 == 1) == (self.first_parity == "odd"))
+        first = self.first_layer_override if t == 1 else None
+        bond_gates = self.bond_gates or {}
+        return {b: (first or bond_gates.get(b, self.gate)).matrix
+                for b in range(start, self.L - 1, 2)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,6 +259,7 @@ def _sweep(sites: list, gates: Mapping[int, np.ndarray], rightward: bool) -> lis
     return probs
 
 
+@_one_blas_thread()
 def chain_probs(sites) -> list:
     """Schmidt weights at every cut of a chain of site tensors (chi_l, d,
     chi_r) with unit outer bonds, indexed by bond: one split and one
@@ -282,10 +268,12 @@ def chain_probs(sites) -> list:
     return _sweep(_left_canonical(sites), {}, rightward=False)
 
 
+@_one_blas_thread()
 def evolve(circuit: BrickworkCircuit, initial: Sequence[np.ndarray], T: int) -> EntanglementRecord:
     """Apply T alternating brickwork layers to an exact matrix-product state,
     recording bond entropies after each layer; the central-cut flag goes
-    false once 2t + 2 > L.
+    false once 2t + 2 > L.  ``circuit`` is read only through ``L``, ``q``
+    and ``layer(t)``, so any such schedule drives it.
 
     ``initial`` is a chain of site tensors (chi_l, q, chi_r) with unit
     outer bonds, as the ``*_sites`` builders give.  Layer t (none at
@@ -305,8 +293,7 @@ def evolve(circuit: BrickworkCircuit, initial: Sequence[np.ndarray], T: int) -> 
         )
     profiles = []
     for t in range(T + 1):
-        gates = {b: circuit.gate_for(t, b).matrix for b in circuit.layer_bonds(t)} if t else {}
-        probs = _sweep(sites, gates, rightward=t % 2 == 1)
+        probs = _sweep(sites, circuit.layer(t) if t else {}, rightward=t % 2 == 1)
         profiles.append([entropy_from_probs(p) for p in probs])
     return EntanglementRecord(profiles=np.array(profiles), q=q)
 

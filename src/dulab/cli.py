@@ -3,9 +3,8 @@
 Every subcommand emits machine-readable JSON or CSV (UTF-8, "." decimals).
 Its primary output (the JSON document, or the CSV for ``--format csv``) goes
 to stdout, or atomically to ``--out``, in which case stdout gets the JSON
-document.  ``--assert`` additionally checks the experiment against its
-published tolerance and exits 1 on failure.  Usage errors exit 2 before the
-output file is touched.
+document.  ``--assert`` exits 1 exactly when the document's ``pass`` is
+false.  Usage errors exit 2 before the output file is touched.
 Entropies in files are always nats; ``--bits`` adds a display-only bits
 rendering of summary lines.  The state-size budget can be overridden with
 the DULAB_MAX_AMPLITUDES environment variable.  Every subcommand computes
@@ -101,9 +100,10 @@ def _write_atomic(files: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each maps args to (doc, ok, payload, extra); ``payload`` is
-# the CSV text when that is the primary output, else None (the doc is), and
-# ``extra`` maps the path of each secondary output file to its text
+# subcommands: each maps args to (doc, payload, extra); ``doc["pass"]`` is
+# the verdict that ``--assert`` holds, ``payload`` is the CSV text when that
+# is the primary output, else None (the doc is), and ``extra`` maps the path
+# of each secondary output file to its text
 # ---------------------------------------------------------------------------
 
 def _cmd_zigzag(args):
@@ -140,8 +140,8 @@ def _cmd_zigzag(args):
     # when the central cut starts at zero (a valley), and phase-correct when
     # the chain length puts a dimer peak on the central cut
     worst = rec.relay_deviation(0)
-    ok = worst <= 1e-9
     step = rec.max_step_increase()
+    bound_ok = step <= 2 * lnq + 1e-9
     doc = {
         "params": {"q": q, "L": L, "steps": T, "gate": args.gate, "J": args.J,
                    "b": args.b, "h": args.h, "initial": args.initial,
@@ -149,26 +149,25 @@ def _cmd_zigzag(args):
         "central_cut": rec.central_cut(),
         "central_entropy_nats": [float(x) for x in central],
         "max_step_increase": step,
-        "per_gate_bound_ok": step <= 2 * lnq + 1e-9,
+        "per_gate_bound_ok": bound_ok,
         "target": "S(t) - S(0) = t*ln(q) at even t within the light cone",
         "tolerance": 1e-9,
         "max_even_t_deviation": worst,
-        "pass": bool(ok),
+        "pass": bool(worst <= 1e-9 and bound_ok),
     }
     if args.bits:
         doc["central_entropy_bits_display"] = [float(x / math.log(2)) for x in central]
-    ok = ok and doc["per_gate_bound_ok"]  # --assert also holds the per-gate bound
     if args.format == "csv":
         rows = ([t, b, repr(float(x)), str(valid).lower()]
                 for t, (profile, valid) in enumerate(zip(rec.profiles, rec.light_cone_valid))
                 for b, x in enumerate(profile))
-        return doc, ok, _csv_text(["t", "bond", "entropy_nats", "light_cone_valid"], rows), {}
+        return doc, _csv_text(["t", "bond", "entropy_nats", "light_cone_valid"], rows), {}
     doc["record"] = [
         {"t": int(t), "profile_nats": [float(x) for x in rec.profiles[i]],
          "light_cone_valid": bool(rec.light_cone_valid[i])}
         for i, t in enumerate(rec.times)
     ]
-    return doc, ok, None, {}
+    return doc, None, {}
 
 
 def _cmd_kicked_ising(args):
@@ -204,7 +203,7 @@ def _cmd_kicked_ising(args):
     }
     if args.bits:
         doc["central_entropy_bits_display"] = [float(x / ln2) for x in central]
-    return doc, ok, None, {}
+    return doc, None, {}
 
 
 def _cmd_mps(args):
@@ -245,7 +244,7 @@ def _cmd_mps(args):
         doc["E_AB_bits_display"] = e_ab / math.log(2)
         doc["E_BA_bits_display"] = e_ba / math.log(2)
     saved = {args.save: mps.pair_json(pair)} if args.save else {}
-    return doc, ok, None, saved
+    return doc, None, saved
 
 
 #: subcommand -> (sampler name in ``ensemble``, looked up at call time so a
@@ -274,7 +273,7 @@ def _cmd_fidelity(args):
     }
     rows = ([i, repr(float(v))] for i, v in enumerate(stats.values))
     raw = {args.raw: _csv_text(["index", "value"], rows)} if args.raw else {}
-    return doc, ok, None, raw
+    return doc, None, raw
 
 
 def _cmd_catalan(args):
@@ -307,7 +306,7 @@ def _cmd_catalan(args):
         "moments": results,
         "pass": bool(overall),
     }
-    return doc, overall, None, {}
+    return doc, None, {}
 
 
 def _cmd_audit_gate(args):
@@ -329,7 +328,7 @@ def _cmd_audit_gate(args):
         "report": report,
         "pass": bool(ok),
     }
-    return doc, ok, None, {}
+    return doc, None, {}
 
 
 def _cmd_project_dual(args):
@@ -359,7 +358,7 @@ def _cmd_project_dual(args):
         doc["snap_defect"] = gates.choi_defect(ux)
         ok = doc["snap_defect"] <= 1e-10
     doc["pass"] = bool(ok)
-    return doc, ok, None, {}
+    return doc, None, {}
 
 
 def _cmd_scan_eps_delta(args):
@@ -411,13 +410,13 @@ def _cmd_scan_eps_delta(args):
              "dist_to_projection": p.dist_to_projection}
             for p in points
         ]
-        return doc, ok, None, {}
+        return doc, None, {}
     rows = ([repr(p.theta), repr(p.epsilon), repr(p.delta), repr(d_un),
              "" if p.dist_to_projection is None else repr(p.dist_to_projection),
              repr(14 * math.sqrt(d_un))]
             for p, d_un in zip(points, d_uns))
-    return doc, ok, _csv_text(["theta", "epsilon", "delta", "delta_unnormalized",
-                               "dist_to_projection", "certificate_bound"], rows), {}
+    return doc, _csv_text(["theta", "epsilon", "delta", "delta_unnormalized",
+                           "dist_to_projection", "certificate_bound"], rows), {}
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +470,7 @@ def _even_at_least(lo: int):
 def _add_common(p, seed_required=False, fmt=None):
     p.add_argument("--out", help="output file (atomic write); stdout if omitted")
     p.add_argument("--assert", dest="do_assert", action="store_true",
-                   help="check the published tolerance and exit 1 on failure")
+                   help="exit 1 when the document's pass is false")
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default=fmt)
     if seed_required:
@@ -583,7 +582,7 @@ def main(argv=None) -> int:
             parser.error(f"--{flag} and --out name the same file: {path}")
     try:
         with _one_blas_thread():
-            doc, ok, payload, files = args.func(args)
+            doc, payload, files = args.func(args)
         text = json.dumps({"schema_version": SCHEMA_VERSION, "experiment": args.command,
                            **doc}, indent=2, allow_nan=False) + "\n"
         if args.out:
@@ -592,7 +591,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ckt.CapacityError, mps.DegenerateTransferError) as exc:
         parser.error(str(exc))
     sys.stdout.write(text if args.out or payload is None else payload)
-    return 1 if args.do_assert and not ok else 0
+    return 1 if args.do_assert and not doc["pass"] else 0
 
 
 if __name__ == "__main__":

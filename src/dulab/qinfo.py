@@ -13,7 +13,8 @@ here.  Conventions, fixed once:
   ``F = tr sqrt(sqrt(rho) sigma sqrt(rho))``, so ``F in [0, 1]`` and a pure
   state gives ``sqrt(<psi|sigma|psi>)``;
 * an infinite relative entropy is the explicit ``math.inf`` sentinel;
-* every ``dulab`` command computes at one thread of numpy's bundled
+* every ``dulab`` command, and every ``circuit.evolve`` and
+  ``circuit.chain_probs`` call, computes at one thread of numpy's bundled
   OpenBLAS (``_one_blas_thread``), so its bytes do not depend on the
   thread count;
 * every Schmidt spectrum and trace norm is one values-only SVD,
@@ -482,7 +483,8 @@ def _blas_threads():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body at one BLAS thread, then restore the previous count."""
+    """Run the body, or each call of a function it decorates, at one BLAS
+    thread, then restore the previous count."""
     blas = _blas_threads()
     if blas is None:
         yield

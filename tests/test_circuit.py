@@ -1,11 +1,13 @@
 import csv
 import io
 import math
+import types
 
 import numpy as np
 import pytest
 
 from dulab import circuit as ckt
+from dulab import qinfo
 from dulab.circuit import (
     BrickworkCircuit,
     CapacityError,
@@ -175,9 +177,52 @@ class TestEvolve:
             first_layer_override=ident,
             bond_gates={2: kim},
         )
-        assert circ.gate_for(1, 2) is ident  # first-layer override beats the bond gate
-        assert circ.gate_for(3, 2) is kim  # bond override
-        assert circ.gate_for(3, 0) is swap
+        assert circ.layer(1)[2] is ident.matrix  # first-layer override beats the bond gate
+        assert circ.layer(3)[2] is kim.matrix  # bond override
+        assert circ.layer(3)[0] is swap.matrix
+
+    @pytest.mark.parametrize("first_parity, odd_t, even_t", [
+        ("even", [0, 2, 4, 6], [1, 3, 5]),
+        ("odd", [1, 3, 5], [0, 2, 4, 6]),
+    ])
+    def test_layer_bonds_alternate_from_first_parity(self, first_parity, odd_t, even_t):
+        circ = BrickworkCircuit(L=8, q=2, gate=swap_gate(2), first_parity=first_parity)
+        for t in (1, 3, 5):
+            assert list(circ.layer(t)) == odd_t
+        for t in (2, 4, 6):
+            assert list(circ.layer(t)) == even_t
+
+    def test_evolve_reads_gates_only_from_layer(self):
+        # any object with L, q and layer(t) drives ``evolve``
+        circ = BrickworkCircuit(L=6, q=2, gate=haar_gate(2, 3), first_parity="odd")
+        schedule = types.SimpleNamespace(L=6, q=2, layer=circ.layer)
+        assert np.array_equal(evolve(schedule, dimer_sites(6, 2), 3).profiles,
+                              evolve(circ, dimer_sites(6, 2), 3).profiles)
+
+    @pytest.mark.parametrize("entry", ["evolve", "chain_probs"])
+    def test_chain_entry_points_run_at_one_blas_thread(self, entry, monkeypatch):
+        blas = qinfo._blas_threads()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, set_ = blas
+        sweep, seen = ckt._sweep, []
+
+        def recording_sweep(*args, **kwargs):
+            seen.append(get())
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(ckt, "_sweep", recording_sweep)
+        before = get()
+        try:
+            set_(2)
+            if entry == "evolve":
+                evolve(BrickworkCircuit(L=6, q=2, gate=swap_gate(2)), dimer_sites(6, 2), 2)
+            else:
+                chain_probs(dimer_sites(6, 2))
+            assert seen and set(seen) == {1}
+            assert get() == 2
+        finally:
+            set_(before)
 
     def test_mismatched_q_rejected(self):
         with pytest.raises(ValueError, match="q = 3"):

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 from conftest import checkout_env
+from dulab.circuit import BrickworkCircuit, dimer_sites, evolve
 from dulab.cli import main
-from dulab.gates import haar_gate, write_gate_file
+from dulab.gates import haar_gate, swap_gate, write_gate_file
 
 
 def run(argv):
@@ -383,8 +384,31 @@ def test_runner_contract(command, tmp_path, capsys):
     doc = strict_json(summary)
     assert list(doc)[:2] == ["schema_version", "experiment"]
     assert doc["experiment"] == command
-    ok = doc["pass"] and (command != "zigzag" or doc["per_gate_bound_ok"])
-    assert code == (0 if ok else 1)
+    assert code == (0 if doc["pass"] else 1)
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["zigzag", "--q", "2", "--L", "8", "--steps", "3", "--format", "json"],
+     {"central_entropy_bits_display": "central_entropy_nats"}),
+    (["kicked-ising", "--class", "T", "--L", "8", "--steps", "3", "--h", "0.3"],
+     {"central_entropy_bits_display": "central_entropy_nats"}),
+    (["mps", "--q", "2", "--chi", "2", "--seed", "5"],
+     {"E_AB_bits_display": "E_AB", "E_BA_bits_display": "E_BA"}),
+])
+def test_bits_adds_only_display_fields(argv, shown, capsys):
+    run(argv)
+    plain = capsys.readouterr().out
+    run(argv + ["--bits"])
+    doc = strict_json(capsys.readouterr().out)
+    for bits, nats in shown.items():
+        value = doc.pop(bits)
+        want = doc[nats]
+        if isinstance(want, list):
+            assert value == [x / math.log(2) for x in want]
+        else:
+            assert value == want / math.log(2)
+    # every other field keeps its bytes
+    assert json.dumps(doc, indent=2) + "\n" == plain
 
 
 class TestAuditGate:
@@ -452,6 +476,20 @@ class TestZigzag:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert "record" in doc and doc["experiment"] == "zigzag"
+
+    def test_first_parity_overrides_auto(self, capsys):
+        # the dimer start picks odd by itself, so --first-parity odd is a no-op
+        argv = ["zigzag", "--q", "2", "--L", "8", "--steps", "3", "--format", "json"]
+        run(argv)
+        auto = capsys.readouterr().out
+        run(argv + ["--first-parity", "odd"])
+        assert capsys.readouterr().out == auto
+        run(argv + ["--first-parity", "even"])
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["params"]["first_parity"] == "even"
+        rec = evolve(BrickworkCircuit(L=8, q=2, gate=swap_gate(2), first_parity="even"),
+                     dimer_sites(8, 2), 3)
+        assert doc["central_entropy_nats"] == [float(x) for x in rec.central_series()]
 
     def test_qutrit_relay_including_peak_phase(self, capsys):
         # L = 10 puts the central cut on a dimer peak; the growth form of the

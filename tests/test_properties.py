@@ -351,8 +351,8 @@ def dense_evolve(circuit: BrickworkCircuit, state: PureState, T: int) -> np.ndar
     """Bond profiles after each of T layers from the dense state vector."""
     profiles = [bond_entropies(state)]
     for t in range(1, T + 1):
-        for b in circuit.layer_bonds(t):
-            state = apply_unitary(state, circuit.gate_for(t, b).matrix, (b, b + 1))
+        for b, u in circuit.layer(t).items():
+            state = apply_unitary(state, u, (b, b + 1))
         profiles.append(bond_entropies(state))
     return np.array(profiles)
 
