@@ -1,7 +1,6 @@
 """Numerical lab for entanglement growth and dual unitarity in brickwork circuits."""
 
 from .qinfo import (
-    Bipartition,
     DensityMatrix,
     PureState,
     bell_state,

@@ -356,7 +356,7 @@ def _cmd_project_dual(args):
         ux, dist = gates.nearest_dual_q2(g)
         doc["snap_distance"] = dist
         doc["snap_defect"] = gates.choi_defect(ux)
-        ok = doc["snap_defect"] <= 1e-10
+        ok = doc["snap_defect"] <= gates.DUAL_TOL
     doc["pass"] = bool(ok)
     return doc, None, {}
 
@@ -367,9 +367,9 @@ def _cmd_scan_eps_delta(args):
                          f"--theta-max {args.theta_max!r}")
     base = load_gate(args.base, args.q, args.J, args.b, args.h)
     defect = gates.choi_defect(base)
-    if defect > 1e-10:
+    if defect > gates.DUAL_TOL:
         raise ValueError(f"--base {args.base} is not dual unitary: its choi_defect "
-                         f"{defect!r} exceeds 1e-10")
+                         f"{defect!r} exceeds {gates.DUAL_TOL:g}")
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))
     points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import (Gate, _defect_from_probs, choi_defect, choi_probs, haar_unitary,
-                    nearest_dual_q2, perturbed)
+from .gates import (DUAL_TOL, Gate, _defect_from_probs, choi_defect, choi_probs,
+                    haar_unitary, nearest_dual_q2, perturbed)
 from .qinfo import _one_blas_thread, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
@@ -221,7 +221,7 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
     """
     q = base.q
     d = q * q
-    if choi_defect(base) > 1e-10:
+    if choi_defect(base) > DUAL_TOL:
         raise ValueError("base gate must be dual unitary")
     h = random_hermitian_direction(d, seed)
     points = []

@@ -185,5 +185,8 @@ def load_mps(path) -> MPSPair:
     for key in ("q", "chi", "A", "B"):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
+    for key in ("q", "chi"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{path}: field {key!r} must be an integer, got {doc[key]!r}")
     return MPSPair(doc["q"], doc["chi"], _tensor_from_json(doc["A"], path, "A"),
                    _tensor_from_json(doc["B"], path, "B"))

@@ -7,6 +7,10 @@ here.  Conventions, fixed once:
 * subsystems are an explicit ordered ``dims`` list, position-indexed from 0,
   with subsystem 0 the slowest (most significant) index of the flat vector,
   i.e. ``kron(a, b)`` puts ``a`` at position 0;
+* every partial trace, marginal spectrum, subsystem permutation, local
+  unitary and Uhlmann alignment groups subsystems by one rule, ``_axes``:
+  the listed positions in the order given, then the others in position
+  order; a repeated or out-of-range position is a ValueError;
 * ``trace_norm_distance`` returns the full 1-norm ``||rho - sigma||_1``
   (the halved trace distance is half of it);
 * fidelity is the square-root (Uhlmann) convention
@@ -33,7 +37,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -62,33 +66,6 @@ def _dims_tuple(dims) -> tuple:
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     return dims
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A sorted set of subsystem positions; the complement is implied."""
-
-    keep: tuple
-
-    def __init__(self, keep: Iterable[int]):
-        keep = tuple(sorted(int(k) for k in keep))
-        if len(set(keep)) != len(keep):
-            raise ValueError(f"duplicate subsystem indices in {keep}")
-        object.__setattr__(self, "keep", keep)
-
-    @staticmethod
-    def of(x: Union["Bipartition", Iterable[int]]) -> "Bipartition":
-        return x if isinstance(x, Bipartition) else Bipartition(x)
-
-    def validate(self, n_subsystems: int) -> None:
-        if any(k < 0 or k >= n_subsystems for k in self.keep):
-            raise ValueError(
-                f"subsystem indices {self.keep} out of range for {n_subsystems} subsystems"
-            )
-
-    def complement(self, n_subsystems: int) -> tuple:
-        self.validate(n_subsystems)
-        return tuple(i for i in range(n_subsystems) if i not in self.keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,58 +166,68 @@ def kron_states(*states: PureState) -> PureState:
 # partial trace, subsystem permutation, local operators
 # ---------------------------------------------------------------------------
 
+def _axes(n: int, first) -> tuple:
+    """The axis order of n subsystems with ``first`` in the order given, then
+    the others in position order: the one rule by which every regrouping of
+    subsystems checks positions."""
+    first = tuple(int(i) for i in first)
+    if len(set(first)) != len(first) or not all(0 <= i < n for i in first):
+        raise ValueError(f"subsystem positions {first} repeated or out of range "
+                         f"for {n} subsystems")
+    return first + tuple(i for i in range(n) if i not in first)
+
+
+def _pure_matrix(amplitudes, dims: Sequence[int], first) -> np.ndarray:
+    """A vector over ``dims`` as a matrix whose rows index the subsystems
+    ``first`` and whose columns index the others, in ``_axes`` order."""
+    axes = _axes(len(dims), first)
+    rows = int(np.prod([dims[i] for i in first]))
+    return np.reshape(amplitudes, dims).transpose(axes).reshape(rows, -1)
+
+
+def _density_blocks(rho: DensityMatrix, first) -> np.ndarray:
+    """A density matrix as a (rows, cols, rows, cols) tensor, its row and
+    column indices each grouped as ``_pure_matrix`` groups a vector."""
+    n = rho.n_subsystems
+    axes = _axes(n, first)
+    rows = int(np.prod([rho.dims[i] for i in first]))
+    cols = len(rho.matrix) // rows
+    t = rho.matrix.reshape(rho.dims + rho.dims).transpose(axes + tuple(n + i for i in axes))
+    return t.reshape(rows, cols, rows, cols)
+
+
 def reduce(state: Union[PureState, DensityMatrix], keep) -> DensityMatrix:
-    """Partial trace over the complement of ``keep``."""
-    keep = Bipartition.of(keep)
-    keep.validate(state.n_subsystems)
-    comp = keep.complement(state.n_subsystems)
-    kept_dims = tuple(state.dims[k] for k in keep.keep)
-    dk = int(np.prod(kept_dims)) if kept_dims else 1
+    """Partial trace over the complement of ``keep``; the kept subsystems
+    stay in position order."""
+    keep = sorted(keep)
     if isinstance(state, PureState):
-        t = state.tensor().transpose(keep.keep + comp).reshape(dk, -1)
+        t = _pure_matrix(state.amplitudes, state.dims, keep)
         rho = t @ t.conj().T
     else:
-        n = state.n_subsystems
-        t = state.matrix.reshape(state.dims + state.dims)
-        perm = keep.keep + comp + tuple(n + k for k in keep.keep) + tuple(n + c for c in comp)
-        dc = int(np.prod([state.dims[c] for c in comp])) if comp else 1
-        t = t.transpose(perm).reshape(dk, dc, dk, dc)
-        rho = np.einsum("abcb->ac", t)
-    return DensityMatrix(rho, kept_dims, validate=False)
+        rho = np.einsum("abcb->ac", _density_blocks(state, keep))
+    return DensityMatrix(rho, tuple(state.dims[k] for k in keep), validate=False)
 
 
 def permute_subsystems(state: Union[PureState, DensityMatrix], order: Sequence[int]):
-    """Reorder subsystems so that new position i holds old subsystem order[i]."""
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(state.n_subsystems)):
-        raise ValueError(f"{order} is not a permutation of {state.n_subsystems} subsystems")
-    new_dims = tuple(state.dims[i] for i in order)
+    """Reorder subsystems so that new position i holds old subsystem order[i];
+    subsystems that ``order`` leaves out follow in position order."""
+    axes = _axes(state.n_subsystems, order)
+    new_dims = tuple(state.dims[i] for i in axes)
     if isinstance(state, PureState):
-        v = state.tensor().transpose(order).reshape(-1)
-        return PureState(v, new_dims)
-    n = state.n_subsystems
-    t = state.matrix.reshape(state.dims + state.dims)
-    t = t.transpose(order + tuple(n + i for i in order))
-    d = int(np.prod(new_dims))
-    return DensityMatrix(t.reshape(d, d), new_dims, validate=False)
+        return PureState(_pure_matrix(state.amplitudes, state.dims, axes), new_dims)
+    d = len(state.matrix)
+    return DensityMatrix(_density_blocks(state, axes).reshape(d, d), new_dims, validate=False)
 
 
 def apply_unitary(state: PureState, u: np.ndarray, positions: Sequence[int]) -> PureState:
     """Apply u to the listed subsystems (in the given order) of a pure state."""
-    positions = tuple(int(p) for p in positions)
-    n = state.n_subsystems
-    if len(set(positions)) != len(positions) or any(p < 0 or p >= n for p in positions):
-        raise ValueError(f"bad positions {positions} for {n} subsystems")
-    d_op = int(np.prod([state.dims[p] for p in positions]))
+    positions = tuple(positions)
+    t = _pure_matrix(state.amplitudes, state.dims, positions)
     u = np.asarray(u, dtype=complex)
-    if u.shape != (d_op, d_op):
-        raise ValueError(f"operator shape {u.shape} does not match subsystem dims {d_op}")
-    rest = tuple(i for i in range(n) if i not in positions)
-    t = state.tensor().transpose(positions + rest).reshape(d_op, -1)
-    t = u @ t
-    inv = np.argsort(positions + rest)
-    dims_perm = tuple(state.dims[p] for p in positions + rest)
-    v = t.reshape(dims_perm).transpose(inv).reshape(-1)
+    if u.shape != (len(t), len(t)):
+        raise ValueError(f"operator shape {u.shape} does not match subsystem dims {len(t)}")
+    axes = _axes(state.n_subsystems, positions)
+    v = _pure_matrix(u @ t, [state.dims[i] for i in axes], np.argsort(axes))
     return PureState(v, state.dims)
 
 
@@ -270,10 +257,8 @@ def schmidt_probs(amplitudes: np.ndarray, dl: int) -> np.ndarray:
 def marginal_probs(state: PureState, keep) -> np.ndarray:
     """Spectrum of the marginal of a pure state on ``keep``: the Schmidt
     weights of the vector with ``keep`` moved to the front, cut after it."""
-    keep = Bipartition.of(keep)
-    comp = keep.complement(state.n_subsystems)
-    dk = int(np.prod([state.dims[k] for k in keep.keep]))
-    return schmidt_probs(state.tensor().transpose(keep.keep + comp), dk)
+    t = _pure_matrix(state.amplitudes, state.dims, sorted(keep))
+    return schmidt_probs(t, len(t))
 
 
 def entropy_from_probs(p: np.ndarray) -> float:
@@ -423,26 +408,17 @@ def uhlmann_align(psi: PureState, phi: PureState, ancilla) -> tuple[np.ndarray, 
     purifications, and the achieved overlap equals the fidelity of the two
     reduced system states.
     """
-    ancilla = Bipartition.of(ancilla)
-    ancilla.validate(psi.n_subsystems)
+    ancilla = sorted(ancilla)
+    system = _axes(psi.n_subsystems, ancilla)[len(ancilla):]
     if psi.n_subsystems != phi.n_subsystems:
         raise ValueError("states have different numbers of subsystems")
-    system = ancilla.complement(psi.n_subsystems)
     sys_dims_psi = tuple(psi.dims[i] for i in system)
     sys_dims_phi = tuple(phi.dims[i] for i in system)
     if sys_dims_psi != sys_dims_phi:
         raise ValueError(f"system dims differ: {sys_dims_psi} vs {sys_dims_phi}")
-    da_psi = int(np.prod([psi.dims[i] for i in ancilla.keep]))
-    da_phi = int(np.prod([phi.dims[i] for i in ancilla.keep]))
-    if da_psi != da_phi:
-        raise ValueError(f"ancilla dims mismatch: {da_psi} vs {da_phi}")
-
-    def _matrix(state: PureState) -> np.ndarray:
-        t = state.tensor().transpose(system + ancilla.keep)
-        return t.reshape(int(np.prod(sys_dims_psi)), da_psi)
-
-    x = _matrix(psi)
-    y = _matrix(phi)
+    x, y = (_pure_matrix(st.amplitudes, st.dims, system) for st in (psi, phi))
+    if x.shape != y.shape:
+        raise ValueError(f"ancilla dims mismatch: {x.shape[1]} vs {y.shape[1]}")
     k = y.conj().T @ x
     u, s, vh = np.linalg.svd(k)
     w = np.conj(u @ vh)

@@ -220,6 +220,24 @@ class TestUsageErrors:
         assert "p.json: non-finite entry in A at [0, 1, 2]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("q", "null"), ("q", "[2]"), ("q", '{"a": 1}'), ("q", "2.5"), ("q", '"2"'),
+        ("q", "true"), ("chi", "2.0"), ("chi", '"2"'), ("chi", "null"),
+    ])
+    def test_non_integer_mps_dimension_exits_2(self, field, value, tmp_path, capsys):
+        pair = tmp_path / "p.json"
+        run(["mps", "--q", "2", "--chi", "2", "--seed", "5", "--save", str(pair)])
+        capsys.readouterr()
+        doc = json.loads(pair.read_text())
+        doc[field] = "VALUE"
+        pair.write_text(json.dumps(doc).replace('"VALUE"', value))
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as e:
+            run(["mps", "--seed", "0", "--load", str(pair), "--out", str(out)])
+        assert e.value.code == 2
+        assert f"p.json: field {field!r} must be an integer, got " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-4", "many"])
     def test_amplitude_budget_below_one_exits_2(self, value, monkeypatch, capsys):
         monkeypatch.setenv("DULAB_MAX_AMPLITUDES", value)

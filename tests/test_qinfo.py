@@ -8,7 +8,6 @@ import pytest
 from dulab import qinfo
 from dulab.gates import choi_vector, haar_unitary
 from dulab.qinfo import (
-    Bipartition,
     DensityMatrix,
     PureState,
     bell_state,
@@ -461,9 +460,25 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.5], [0.2, 0.5]]), (2,))
 
-    def test_bipartition_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Bipartition([0, 0])
+    @pytest.mark.parametrize("positions", [(0, 0), (0, 3)], ids=["repeated", "out-of-range"])
+    @pytest.mark.parametrize("op", [
+        reduce,
+        marginal_probs,
+        qinfo.permute_subsystems,
+        lambda psi, positions: qinfo.apply_unitary(psi, np.eye(2), positions),
+        lambda psi, positions: uhlmann_align(psi, psi, positions),
+    ], ids=["reduce", "marginal_probs", "permute_subsystems", "apply_unitary", "uhlmann_align"])
+    def test_one_position_rule(self, op, positions):
+        with pytest.raises(ValueError, match="out of range"):
+            op(random_pure((2, 3, 2), seed=4), positions)
+
+    def test_apply_unitary_on_reversed_non_adjacent_positions(self):
+        psi = random_pure((2, 3, 2), seed=5)
+        u = haar_unitary(4, seed=6)
+        out = qinfo.apply_unitary(psi, u, (2, 0))
+        # u's row index is (subsystem 2, subsystem 0), in that order
+        want = np.einsum("wxyz,zby->xbw", u.reshape(2, 2, 2, 2), psi.tensor())
+        assert np.allclose(out.tensor(), want, rtol=0, atol=1e-14)
 
     def test_permute_subsystems(self):
         psi = kron_states(random_pure((2,), seed=1), random_pure((3,), seed=2))
