@@ -31,7 +31,6 @@ from .qinfo import (
     entropy_from_probs,
     fidelity,
     marginal_probs,
-    permute_subsystems,
     purify,
     reduce,
     trace_norm_distance,
@@ -319,6 +318,10 @@ def zigzag_check(profile: Sequence[float], q: int, tol: float = 1e-9):
 # four-party growth audit
 # ---------------------------------------------------------------------------
 
+#: every audited bound holds when it is met to within this
+AUDIT_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class FourPartyReport:
     """Every audited quantity for one gate acting on B, C inside A|B|C|D."""
@@ -345,30 +348,30 @@ class FourPartyReport:
     def bounds_vacuous(self) -> bool:
         return self.epsilon > math.log(self.q)
 
-    def inequality_checks(self, slack: float = 1e-9) -> dict:
+    def inequality_checks(self) -> dict:
         """Every audited bound, evaluated with the measured epsilon."""
         lnq = math.log(self.q)
         eps = self.epsilon
         fl = math.exp(-eps)
         return {
-            "cond_A_ge_lnq_minus_eps": self.cond_A >= lnq - eps - slack,
-            "cond_D_ge_lnq_minus_eps": self.cond_D >= lnq - eps - slack,
-            "S_B_ge_lnq_minus_eps": self.S_B >= lnq - eps - slack,
-            "S_Bp_ge_lnq_minus_eps": self.S_Bp >= lnq - eps - slack,
-            "S_C_ge_lnq_minus_eps": self.S_C >= lnq - eps - slack,
-            "S_Cp_ge_lnq_minus_eps": self.S_Cp >= lnq - eps - slack,
-            "S_BC_ge_2lnq_minus_2eps": self.S_BC >= 2 * lnq - 2 * eps - slack,
-            "I_AB_C_le_eps": self.I_AB_C <= eps + slack,
-            "I_B_CD_le_eps": self.I_B_CD <= eps + slack,
-            "I_A_Bp_le_eps": self.I_A_Bp <= eps + slack,
-            "I_Cp_D_le_eps": self.I_Cp_D <= eps + slack,
-            "F_out_ge_exp_minus_eps": self.F_out >= fl - slack,
-            "F_in_ge_exp_minus_eps": self.F_in >= fl - slack,
-            "F_BC_ge_exp_minus_eps": self.F_BC >= fl - slack,
+            "cond_A_ge_lnq_minus_eps": self.cond_A >= lnq - eps - AUDIT_SLACK,
+            "cond_D_ge_lnq_minus_eps": self.cond_D >= lnq - eps - AUDIT_SLACK,
+            "S_B_ge_lnq_minus_eps": self.S_B >= lnq - eps - AUDIT_SLACK,
+            "S_Bp_ge_lnq_minus_eps": self.S_Bp >= lnq - eps - AUDIT_SLACK,
+            "S_C_ge_lnq_minus_eps": self.S_C >= lnq - eps - AUDIT_SLACK,
+            "S_Cp_ge_lnq_minus_eps": self.S_Cp >= lnq - eps - AUDIT_SLACK,
+            "S_BC_ge_2lnq_minus_2eps": self.S_BC >= 2 * lnq - 2 * eps - AUDIT_SLACK,
+            "I_AB_C_le_eps": self.I_AB_C <= eps + AUDIT_SLACK,
+            "I_B_CD_le_eps": self.I_B_CD <= eps + AUDIT_SLACK,
+            "I_A_Bp_le_eps": self.I_A_Bp <= eps + AUDIT_SLACK,
+            "I_Cp_D_le_eps": self.I_Cp_D <= eps + AUDIT_SLACK,
+            "F_out_ge_exp_minus_eps": self.F_out >= fl - AUDIT_SLACK,
+            "F_in_ge_exp_minus_eps": self.F_in >= fl - AUDIT_SLACK,
+            "F_BC_ge_exp_minus_eps": self.F_BC >= fl - AUDIT_SLACK,
         }
 
-    def all_hold(self, slack: float = 1e-9) -> bool:
-        return all(self.inequality_checks(slack).values())
+    def all_hold(self) -> bool:
+        return all(self.inequality_checks().values())
 
     def to_json_dict(self) -> dict:
         """The audited fields in declaration order (without ``q``), then
@@ -464,39 +467,22 @@ def reconstruct_distillable(state: PureState):
     bell = bell_state(q)  # used for both alpha_{A2 B} and beta_{C D2}
 
     # left side: phi_L = alpha_{A2 B} (x) mu_{A1 CD} on axes (A1, A2, B, C, D)
-    rho_cd = reduce(state, {2, 3})
-    mu = purify(rho_cd, ancilla_dim=dA1)  # axes (C, D, A1)
-    mu_t = mu.tensor().transpose(2, 0, 1)  # (A1, C, D)
-    alpha_t = bell.tensor()  # (A2, B)
-    phi_l = np.einsum("acd,eb->aebcd", mu_t, alpha_t).reshape(-1)
-    phi_l = PureState(phi_l, (dA1, q, q, q, dD))
-    phi_l4 = PureState(phi_l.amplitudes, (dA, q, q, dD))
-
-    u_a, _ = uhlmann_align(state, phi_l4, {0})
+    mu = purify(reduce(state, {2, 3}), ancilla_dim=dA1)  # axes (C, D, A1)
+    phi_l = np.einsum("cda,eb->aebcd", mu.tensor(), bell.tensor()).reshape(-1)
+    u_a, _ = uhlmann_align(state, PureState(phi_l, state.dims), {0})
     psi2 = apply_unitary(state, u_a, (0,))
 
     # right side: phi_R = nu_{A B D1} (x) beta_{C D2} on axes (A, B, C, D2, D1)
-    rho_ab = reduce(psi2, {0, 1})
-    nu = purify(rho_ab, ancilla_dim=dD1)  # axes (A, B, D1)
-    nu_t = nu.tensor()
-    beta_t = bell.tensor()  # (C, D2)
-    phi_r = np.einsum("abe,cf->abcfe", nu_t, beta_t).reshape(-1)
-    phi_r4 = PureState(phi_r, (dA, q, q, dD))
-
-    u_d, _ = uhlmann_align(psi2, phi_r4, {3})
+    nu = purify(reduce(psi2, {0, 1}), ancilla_dim=dD1)  # axes (A, B, D1)
+    phi_r = np.einsum("abe,cf->abcfe", nu.tensor(), bell.tensor()).reshape(-1)
+    u_d, _ = uhlmann_align(psi2, PureState(phi_r, state.dims), {3})
     psi3 = apply_unitary(psi2, u_d, (3,))
 
-    # sigma = alpha_{A2 B} (x) sigma_{A1 D1} (x) beta_{C D2} with
-    # sigma_{A1 D1} = tr_{A2 B} nu; assembled on (A1, A2, B, C, D2, D1)
-    nu6 = PureState(nu.amplitudes, (dA1, q, q, dD1))  # (A1, A2, B, D1)
-    sigma_a1d1 = reduce(nu6, {0, 3})
-    alpha_rho = bell.density()
-    beta_rho = bell.density()
-    big = np.kron(np.kron(sigma_a1d1.matrix, alpha_rho.matrix), beta_rho.matrix)
-    sigma = DensityMatrix(big, (dA1, dD1, q, q, q, q), validate=False)
-    # current order (A1, D1, A2, B, C, D2) -> (A1, A2, B, C, D2, D1)
-    sigma = permute_subsystems(sigma, (0, 2, 3, 4, 5, 1))
-    sigma4 = DensityMatrix(sigma.matrix, (dA, q, q, dD), validate=False)
-
-    distance = trace_norm_distance(psi3.density(), sigma4)
-    return sigma4, distance
+    # sigma = alpha_{A2 B} (x) sigma_{A1 D1} (x) beta_{C D2} laid out on
+    # (A1, A2, B, C, D2, D1), with sigma_{A1 D1} = tr_{A2 B} nu
+    sigma_a1d1 = reduce(PureState(nu.amplitudes, (dA1, q * q, dD1)), {0, 2}).matrix
+    bell_rho = bell.density().matrix.reshape(q, q, q, q)
+    sigma = np.einsum("xzyw,abAB,cdCD->xabcdzyABCDw",
+                      sigma_a1d1.reshape(dA1, dD1, dA1, dD1), bell_rho, bell_rho)
+    sigma = DensityMatrix(sigma.reshape(dA * q * q * dD, -1), state.dims, validate=False)
+    return sigma, trace_norm_distance(psi3.density(), sigma)

@@ -317,7 +317,7 @@ def _cmd_audit_gate(args):
     report = audit.to_json_dict()
     if args.reconstruct:
         _, report["recon_distance"] = ckt.reconstruct_distillable(state)
-    ok = audit.all_hold(slack=1e-9) and rep.relation_ok
+    ok = audit.all_hold() and rep.relation_ok
     doc = {
         "params": {"gate": args.gate, "q": args.q, "J": args.J, "b": args.b, "h": args.h},
         "gram_defect": rep.gram_defect,

@@ -247,7 +247,7 @@ def test_criterion_9_four_party_suite():
         state = random_pure((d, 2, 2, d), seed=10_000 + k)
         gate = haar_gate(2, 20_000 + k)
         rep = four_party_report(gate, state)
-        checks = rep.inequality_checks(slack=1e-9)
+        checks = rep.inequality_checks()
         assert all(checks.values()), (k, checks)
         _, dist = reconstruct_distillable(state)
         bound = 2 * (2 * math.sqrt(max(0.0, 1 - math.exp(-2 * rep.epsilon))))

@@ -117,10 +117,9 @@ class TestChoiOutputState:
     def test_swapped_factors_equal_gram_over_q2(self, rng):
         g = haar_gate(2, rng)
         m = reshuffle(g.matrix, g.q)
-        from dulab.qinfo import permute_subsystems
-
-        rho = permute_subsystems(choi_output_state(g), (1, 0))
-        assert np.allclose(rho.matrix, m @ m.conj().T / 4, atol=1e-12)
+        # swap the (A, B') factors of rows and columns alike
+        rho = choi_output_state(g).matrix.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        assert np.allclose(rho, m @ m.conj().T / 4, atol=1e-12)
 
 
 class TestHaar:

@@ -338,7 +338,7 @@ def test_four_party_bounds_near_bell_pairs(g, theta, seed, weight, state_seed):
     v = math.sqrt(1 - weight) * bell_pairs(g.q).amplitudes + math.sqrt(weight) * r
     state = PureState(v / np.linalg.norm(v), (g.q,) * 4)
     rep = four_party_report(u, state)
-    assert rep.all_hold(slack=1e-9), rep.inequality_checks(slack=1e-9)
+    assert rep.all_hold(), rep.inequality_checks()
     for field, want in dense_audit_entropies(u, state).items():
         assert abs(getattr(rep, field) - want) <= 1e-12, field
 

@@ -452,6 +452,14 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             PureState([1, 1], (2,))
 
+    def test_density_of_any_accepted_state(self):
+        # PureState keeps a norm within NORM_TOL of 1 as it is, so the
+        # projector's trace |psi|^2 sits up to 2 NORM_TOL from 1
+        psi = PureState(np.array([1, 1]) / np.sqrt(2) * (1 + 0.9e-12), (2,))
+        rho = psi.density()
+        assert np.array_equal(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        assert rho.dims == (2,)
+
     def test_dims_length_enforced(self):
         with pytest.raises(ValueError):
             PureState([1, 0, 0], (2, 2))
@@ -464,10 +472,9 @@ class TestStateTypes:
     @pytest.mark.parametrize("op", [
         reduce,
         marginal_probs,
-        qinfo.permute_subsystems,
         lambda psi, positions: qinfo.apply_unitary(psi, np.eye(2), positions),
         lambda psi, positions: uhlmann_align(psi, psi, positions),
-    ], ids=["reduce", "marginal_probs", "permute_subsystems", "apply_unitary", "uhlmann_align"])
+    ], ids=["reduce", "marginal_probs", "apply_unitary", "uhlmann_align"])
     def test_one_position_rule(self, op, positions):
         with pytest.raises(ValueError, match="out of range"):
             op(random_pure((2, 3, 2), seed=4), positions)
@@ -479,10 +486,3 @@ class TestStateTypes:
         # u's row index is (subsystem 2, subsystem 0), in that order
         want = np.einsum("wxyz,zby->xbw", u.reshape(2, 2, 2, 2), psi.tensor())
         assert np.allclose(out.tensor(), want, rtol=0, atol=1e-14)
-
-    def test_permute_subsystems(self):
-        psi = kron_states(random_pure((2,), seed=1), random_pure((3,), seed=2))
-        swapped = qinfo.permute_subsystems(psi, (1, 0))
-        assert swapped.dims == (3, 2)
-        back = qinfo.permute_subsystems(swapped, (1, 0))
-        assert np.allclose(back.amplitudes, psi.amplitudes)
