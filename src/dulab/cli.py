@@ -366,13 +366,13 @@ def _cmd_scan_eps_delta(args):
         raise ValueError(f"--theta-min {args.theta_min!r} must be below "
                          f"--theta-max {args.theta_max!r}")
     base = load_gate(args.base, args.q, args.J, args.b, args.h)
-    defect = gates.choi_defect(base)
-    if defect > gates.DUAL_TOL:
-        raise ValueError(f"--base {args.base} is not dual unitary: its choi_defect "
-                         f"{defect!r} exceeds {gates.DUAL_TOL:g}")
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))
-    points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
+    try:
+        points = ensemble.eps_delta_scan(base, thetas, seed=args.seed)
+    except ensemble.NotDualError as exc:  # the scan's own check, which names no flag
+        raise ValueError(f"--base {args.base} is not dual unitary: its choi_defect "
+                         f"{exc.defect!r} exceeds {gates.DUAL_TOL:g}") from None
     if sum(p.epsilon > 0 and p.delta > 0 for p in points) < 3:
         raise ValueError(f"fewer than 3 points between --theta-min {args.theta_min!r} and "
                          f"--theta-max {args.theta_max!r} clear the {ensemble.NOISE_FLOOR:g} "

@@ -55,12 +55,12 @@ def _check_ensemble(q: int, n_samples: int) -> None:
 #: FAN_OUT_SAMPLES * (256 / d)^4 samples, and runs in the calling thread when
 #: one block holds it all.  Threads overlap only the GIL-free draw, QR and
 #: SVD, whose share of a sample falls with d, hence the fourth power.
-#: Measured on 2 cores, one loop against two threads: 25 q = 16 gates
-#: 0.95-0.99 s against 0.56-0.67 s (blocks of 1 to 13 alike), 2000 q = 8
-#: gates 2.6-3.1 s against 1.9-2.1 s, 4000 q = 6 gates 2.2-2.3 s against
-#: 1.8-1.9 s, 2000 q = 32 Haar states 0.56-0.59 s against 0.38-0.39 s, but
-#: 3000 q = 5 gates 0.99 s against 1.22-1.27 s, 8192 q = 4 gates 1.7-1.8 s
-#: against 2.2-2.4 s, and 25 q = 32 states 8 ms against 10 ms.
+#: Measured on 2 cores, one loop against two threads (blocks of 1 at
+#: q = 16): 25 q = 16 gates 0.55-0.61 s against 0.32-0.35 s, 2000 q = 8
+#: gates 1.9-2.2 s against 1.1-1.3 s, 4000 q = 6 gates 1.2-1.6 s against
+#: 1.0-1.3 s, 2000 q = 32 Haar states 0.56-0.59 s against 0.38-0.39 s, but
+#: 3000 q = 5 gates 0.44-0.48 s against 0.45-0.49 s, 8192 q = 4 gates
+#: 0.74-0.87 s against 0.84-1.05 s, and 25 q = 32 states 8 ms against 10 ms.
 FAN_OUT_SAMPLES = 1
 
 
@@ -207,6 +207,16 @@ def _floor(x: float) -> float:
     return 0.0 if abs(x) < NOISE_FLOOR else float(x)
 
 
+class NotDualError(ValueError):
+    """The base gate of a scan is not dual unitary; ``defect`` is its
+    ``choi_defect``."""
+
+    def __init__(self, defect: float):
+        super().__init__(f"base gate is not dual unitary: its choi_defect {defect!r} "
+                         f"exceeds {DUAL_TOL:g}")
+        self.defect = defect
+
+
 def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
     """Scan u(theta) = base exp(-i theta H) along a random unit-norm
     Hermitian direction H drawn from ``seed``.
@@ -221,8 +231,9 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
     """
     q = base.q
     d = q * q
-    if choi_defect(base) > DUAL_TOL:
-        raise ValueError("base gate must be dual unitary")
+    defect = choi_defect(base)
+    if defect > DUAL_TOL:
+        raise NotDualError(defect)
     h = random_hermitian_direction(d, seed)
     points = []
     for theta in thetas:

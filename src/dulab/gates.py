@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qinfo import DensityMatrix, PureState, reduce, schmidt_probs, trace_norm, unitarity_defect
+from .qinfo import (DensityMatrix, PureState, _qr, reduce, schmidt_probs, trace_norm,
+                    unitarity_defect)
 
 GATE_UNITARITY_TOL = 1e-10
 DUAL_TOL = 1e-10
@@ -186,16 +187,23 @@ def perturbed(base: Gate, theta: float, h: np.ndarray) -> Gate:
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary (Ginibre + QR with phase correction).
+    """Haar-distributed d x d unitary (Ginibre + QR with phase correction,
+    Mezzadri, Notices AMS 54, 592 (2007)), C-contiguous.
 
     ``seed`` is anything accepted by ``np.random.default_rng`` (int,
     SeedSequence, Generator); the result is deterministic for a fixed seed.
+    The Ginibre matrix (x + iy) / sqrt 2 is written straight into a
+    column-major buffer (x and y are the two halves of one normal draw), and
+    ``qinfo._qr`` factors it in place through LAPACK, the same way as
+    ``_svdvals``: numpy's ``qr`` bits, with the GIL released.
     """
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    xy = np.random.default_rng(seed).standard_normal((2, d, d))
+    # x (1/sqrt 2) is numpy's complex-by-real division (x + iy) / sqrt 2, bit for bit
+    xy *= 1 / math.sqrt(2)
+    z = np.empty((d, d), dtype=complex, order="F")
+    z.real, z.imag = xy
+    q, diag = _qr(z)
+    return np.multiply(q, diag / np.abs(diag), order="C")
 
 
 def haar_gate(q: int, seed) -> Gate:

@@ -22,7 +22,9 @@ here.  Conventions, fixed once:
   OpenBLAS (``_one_blas_thread``), so its bytes do not depend on the
   thread count;
 * every Schmidt spectrum and trace norm is one values-only SVD,
-  ``_svdvals``: numpy's bits, computed with the GIL released.
+  ``_svdvals``, and every Haar draw's QR is one in-place ``_qr``: both give
+  numpy's bits, and both call LAPACK in numpy's bundled OpenBLAS with the
+  GIL released.
 
 All functions are pure and all values are immutable after construction, so
 they are safe to share across threads without locking.
@@ -410,7 +412,7 @@ def uhlmann_align(psi: PureState, phi: PureState, ancilla) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# numpy's bundled OpenBLAS: thread count and the values-only SVD
+# numpy's bundled OpenBLAS: thread count, the values-only SVD and the QR
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -467,8 +469,21 @@ def _zgesdd():
     return fn
 
 
-#: matrices with at most this many entries keep their zgesdd workspace per
-#: thread and shape; a larger one queries and allocates it on every call
+@functools.cache
+def _zqr():
+    """LAPACK (zgeqrf, zungqr) (64-bit integers) in numpy's bundled
+    OpenBLAS, or None."""
+    fns = tuple(getattr(_openblas(), f"scipy_{name}_64_", None) for name in ("zgeqrf", "zungqr"))
+    if None in fns:
+        return None
+    for fn, n_args in zip(fns, (8, 9)):  # every argument is a pointer
+        fn.argtypes, fn.restype = [ctypes.c_void_p] * n_args, None
+    return fns
+
+
+#: matrices with at most this many entries keep their LAPACK workspace per
+#: thread, routine and shape; a larger one queries and allocates it on every
+#: call
 _KEPT_WORKSPACE_ENTRIES = 256 * 256
 
 _kept_workspaces = threading.local()
@@ -476,6 +491,23 @@ _kept_workspaces = threading.local()
 _JOBZ_N = ctypes.c_char_p(b"N")
 _NULL = ctypes.c_void_p()
 _CHAR_LEN = ctypes.c_size_t(1)  # gfortran's hidden length of the JOBZ string
+
+
+def _lapack_call(make, routine, m: int, n: int):
+    """``make(routine, m, n)``: a LAPACK call with its own workspace, kept
+    per thread under (make, m, n) when an m x n matrix is small, so calls on
+    several threads never share work arrays."""
+    if m * n > _KEPT_WORKSPACE_ENTRIES:
+        return make(routine, m, n)
+    kept = _kept_workspaces.__dict__
+    run = kept.get((make, m, n))
+    if run is None:
+        run = kept[(make, m, n)] = make(routine, m, n)
+    return run
+
+
+def _first_byte(a: np.ndarray):
+    return ctypes.byref(ctypes.c_char.from_buffer(a))
 
 
 def _gesdd_values(gesdd, m: int, n: int):
@@ -518,18 +550,61 @@ def _svdvals(a: np.ndarray) -> np.ndarray:
     if gesdd is None or a.dtype != np.complex128 or not a.size:
         return np.linalg.svd(a, compute_uv=False)
     m, n = a.shape
-    if m * n <= _KEPT_WORKSPACE_ENTRIES:
-        kept = _kept_workspaces.__dict__
-        run = kept.get((m, n))
-        if run is None:
-            run = kept[(m, n)] = _gesdd_values(gesdd, m, n)
-    else:
-        run = _gesdd_values(gesdd, m, n)
+    run = _lapack_call(_gesdd_values, gesdd, m, n)
     # LAPACK overwrites its input, so it gets a column-major copy, dropped on
     # return; the transpose of that copy is C-contiguous
     f = np.array(a, dtype=np.complex128, order="F")
     s = np.empty(min(m, n))
-    first_byte = ctypes.c_char.from_buffer
-    if run(ctypes.byref(first_byte(f.T)), ctypes.byref(first_byte(s))):
+    if run(_first_byte(f.T), _first_byte(s)):
         raise np.linalg.LinAlgError("SVD did not converge")
     return s
+
+
+def _geqrf_ungqr(zqr, m: int, n: int):
+    """A call ``run(f) -> diag(R)`` that overwrites an m x n (m >= n)
+    column-major complex array ``f`` with the Q of its reduced QR
+    decomposition: zgeqrf, then zungqr on the same buffer.
+
+    Each lwork is max(1, n, LAPACK's workspace query), as numpy asks for;
+    the block sizes, and so the bits, follow from it.  Neither routine can
+    fail on such an array (info flags only an illegal argument), so info is
+    not read."""
+    geqrf, ungqr = zqr
+    ints = (ctypes.c_int64 * 6)(m, n, m, -1, -1, 0)  # m n lda lwork(geqrf) lwork(ungqr) info
+    m_, n_, lda, lwork_r, lwork_q, info = (ctypes.byref(ints, 8 * i) for i in range(6))
+    tau = (ctypes.c_double * (2 * n))()
+    query = (ctypes.c_double * 2)()
+    geqrf(m_, n_, _NULL, lda, tau, query, lwork_r, info)
+    ints[3] = max(1, n, int(query[0]))
+    ungqr(m_, n_, n_, _NULL, lda, tau, query, lwork_q, info)
+    ints[4] = max(1, n, int(query[0]))
+    work = (ctypes.c_double * (2 * max(ints[3], ints[4])))()
+
+    def run(f: np.ndarray) -> np.ndarray:
+        a = _first_byte(f.T)
+        geqrf(m_, n_, a, lda, tau, work, lwork_r, info)
+        diag = f.diagonal().copy()
+        ungqr(m_, n_, n_, a, lda, tau, work, lwork_q, info)
+        return diag
+
+    return run
+
+
+def _qr(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, diag(R)) of ``np.linalg.qr(f)``, bit for bit, for a square
+    column-major complex matrix ``f``, which it may overwrite with Q.
+
+    As in ``_svdvals``, the routines that numpy calls (zgeqrf and zungqr in
+    its bundled OpenBLAS, with the same workspaces) run through ctypes with
+    the GIL released, here in place on ``f``; an empty matrix and a numpy
+    without its OpenBLAS take numpy's own call.
+    """
+    n = len(f)
+    if f.shape != (n, n) or f.dtype != np.complex128 or not f.flags.f_contiguous:
+        raise ValueError(f"need a square column-major complex128 matrix, got {f.shape} "
+                         f"{f.dtype} with strides {f.strides}")
+    zqr = _zqr()
+    if zqr is None or not n:
+        q, r = np.linalg.qr(f)
+        return q, np.diag(r)
+    return f, _lapack_call(_geqrf_ungqr, zqr, n, n)(f)

@@ -373,6 +373,15 @@ class TestStartup:
         assert seen == {name: [] for name in ["import"] + [argv[0] for argv in commands[:-1]]}
         assert "scipy.linalg._basic" in scan
 
+    def test_import_looks_up_no_blas_library(self):
+        # set-up time: the OpenBLAS and LAPACK lookups run on first use only
+        probe = ("import json, dulab.cli; from dulab import qinfo; print(json.dumps("
+                 "[f.cache_info().currsize for f in (qinfo._openblas, qinfo._blas_threads, "
+                 "qinfo._zgesdd, qinfo._zqr)]))")
+        res = subprocess.run([sys.executable, "-c", probe], env=checkout_env(), check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert json.loads(res.stdout) == [0, 0, 0, 0]
+
 
 #: one small run per subcommand; haar-fidelity at q = 2 misses its target
 RUNNER_CASES = {
@@ -690,6 +699,26 @@ class TestScanEpsDelta:
         with pytest.raises(SystemExit) as e:
             run(["scan-eps-delta", "--base", "identity", "--q", "2", "--seed", "1"])
         assert e.value.code == 2
+
+    def test_base_defect_computed_once(self, monkeypatch, capsys):
+        # the scan's own dual check is the only one, for a dual base and a
+        # rejected one alike
+        from dulab import ensemble, gates
+
+        defect, calls = gates.choi_defect, []
+
+        def counted(g):
+            calls.append(g)
+            return defect(g)
+
+        monkeypatch.setattr(ensemble, "choi_defect", counted)
+        monkeypatch.setattr(gates, "choi_defect", counted)
+        assert run(["scan-eps-delta", "--base", "swap", "--q", "2", "--seed", "8"]) == 0
+        assert len(calls) == 1
+        with pytest.raises(SystemExit) as e:
+            run(["scan-eps-delta", "--base", "identity", "--q", "2", "--seed", "1"])
+        assert e.value.code == 2 and len(calls) == 2
+        assert "--base identity is not dual unitary: its choi_defect 1.5" in capsys.readouterr().err
 
 
 class TestConsoleEntrypoint:

@@ -261,8 +261,9 @@ class TestEpsDeltaScan:
     def test_non_dual_base_rejected(self):
         from dulab.gates import identity_gate
 
-        with pytest.raises(ValueError, match="dual"):
+        with pytest.raises(ValueError, match="dual") as e:
             eps_delta_scan(identity_gate(2), [0.1], seed=1)
+        assert e.value.defect == 1.5
 
     def test_q3_scan_without_projection(self):
         pts = eps_delta_scan(fourier_gate(3), [0.0, 0.05], seed=4)

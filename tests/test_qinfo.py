@@ -264,6 +264,58 @@ class TestSvdvals:
         assert kept < 2 ** 16
 
 
+class TestHaarQr:
+    """The Haar draw's in-place LAPACK QR gives numpy's recipe bit for bit."""
+
+    DIMS = (1, 2, 3, 4, 9, 16, 17, 64, 255, 256, 300)
+
+    @staticmethod
+    def numpy_haar(d, seed):
+        rng = np.random.default_rng(seed)
+        z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        diag = np.diag(r)
+        return q * (diag / np.abs(diag))
+
+    def test_bit_equal_to_the_numpy_recipe(self):
+        for d in self.DIMS:
+            for seed in (0, 1, 7):
+                u = haar_unitary(d, seed)
+                assert np.array_equal(u, self.numpy_haar(d, seed)), (d, seed)
+                assert u.flags.c_contiguous
+
+    def test_numpy_fallback_without_the_library(self, monkeypatch):
+        kernel = [haar_unitary(d, 3) for d in (2, 17, 256)]
+        monkeypatch.setattr(qinfo, "_zqr", lambda: None)
+        for d, u in zip((2, 17, 256), kernel):
+            fallback = haar_unitary(d, 3)
+            assert np.array_equal(fallback, u)
+            assert fallback.flags.c_contiguous
+
+    def test_threads_bit_equal_to_one_loop(self):
+        # the tau and work arrays are per thread, so concurrent draws of one
+        # size never share them
+        jobs = [(d, seed) for seed, d in enumerate((4, 9, 64, 4, 16, 256) * 8)]
+        serial = [haar_unitary(d, seed) for d, seed in jobs]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(lambda job: haar_unitary(*job), jobs))
+        assert all(np.array_equal(x, y) for x, y in zip(serial, threaded))
+
+    def test_rejects_a_matrix_lapack_would_misread(self):
+        for bad in (np.zeros((3, 3)), np.zeros((3, 3), dtype=complex),
+                    np.zeros((3, 4), dtype=complex, order="F")):
+            with pytest.raises(ValueError, match="square column-major complex128"):
+                qinfo._qr(bad)
+
+    def test_empty_draw_is_numpys_and_silent(self, capfd):
+        # LAPACK rejects lda = 0 and prints so on stderr; an empty draw
+        # never reaches it
+        for seed in (0, 5):
+            u = haar_unitary(0, seed)
+            assert u.shape == (0, 0) and u.dtype == np.complex128
+        assert capfd.readouterr().err == ""
+
+
 class TestDistances:
     def test_self_distance_zero(self):
         rho = random_density((2, 2), seed=1)
