@@ -190,14 +190,21 @@ class EntanglementRecord:
         return float(diffs.max()) if diffs.size else 0.0
 
     def relay_deviation(self, t0: int) -> float:
-        """max |S(t) - S(t0) - (t - t0) ln q| at the central cut over every
-        t > t0 of t0's parity inside the light cone; 0.0 if there is none.
-        Zero is the zigzag relay of a maximal entanglement velocity."""
+        """max |S(t) - S(t0) - (t - t0) ln q| at the central cut over the
+        ``relay_times`` of t0; 0.0 if there is none.  Zero is the zigzag
+        relay of a maximal entanglement velocity."""
         lnq = math.log(self.q)
         central = self.central_series()
         return float(max((abs((central[t] - central[t0]) - (t - t0) * lnq)
-                          for t in range(t0 + 2, len(central), 2) if self.light_cone_valid[t]),
+                          for t in relay_times(t0, len(central) - 1, self.L)),
                          default=0.0))
+
+
+def relay_times(t0: int, T: int, L: int) -> range:
+    """The times at which a relay from t0 is read in a T-layer run on L
+    sites: t0 + 2, t0 + 4, ... <= T inside the light cone of the central
+    cut (2t + 2 <= L)."""
+    return range(t0 + 2, min(T, L // 2 - 1) + 1, 2)
 
 
 def bond_entropies(state: PureState) -> np.ndarray:

@@ -108,8 +108,7 @@ def _write_atomic(files: dict) -> None:
 
 def _cmd_zigzag(args):
     q, L, T = args.q, args.L, args.steps
-    if T < 2 or L < 6:
-        # the check reads even t >= 2 with 2t + 2 <= L
+    if not ckt.relay_times(0, T, L):
         raise ValueError(f"no even t >= 2 lies inside the light cone at --steps {T} "
                          f"--L {L}: need --steps >= 2 and --L >= 6")
     gate = None
@@ -173,9 +172,11 @@ def _cmd_zigzag(args):
 def _cmd_kicked_ising(args):
     L, T = args.L, args.steps
     zig_time = 1 if args.klass == "T" else 2
-    if T < zig_time:
-        raise ValueError(f"--steps {T} ends before the class {args.klass} zigzag "
-                         f"forms at t = {zig_time}")
+    if not ckt.relay_times(zig_time, T, L):
+        first = zig_time + 2
+        raise ValueError(f"no relay time t >= {first} of the class {args.klass} zigzag lies "
+                         f"inside the light cone at --steps {T} --L {L}: need --steps >= "
+                         f"{first} and --L >= {2 * first + 2}")
     u = gates.kicked_ising_gate(args.J, args.b, args.h)
     u0 = gates.kicked_ising_first_gate(args.J, args.h)
     circ = ckt.BrickworkCircuit(L=L, q=2, gate=u, first_layer_override=u0)
@@ -342,7 +343,7 @@ def _cmd_project_dual(args):
     final_defect = res.defect_trace[-1]
     doc = {
         "params": {"gate": args.gate, "q": args.q, "max_iters": args.max_iters,
-                   "tol": args.tol},
+                   "tol": args.tol, "J": args.J, "b": args.b, "h": args.h},
         "seed": args.seed,
         "converged": res.converged,
         "iterations": res.iterations,
@@ -394,7 +395,8 @@ def _cmd_scan_eps_delta(args):
     ok = zero_ok and 0.4 <= slope <= 1.1 and cert_ok and shrink_ok and pinsker_ok
     doc = {
         "params": {"base": args.base, "q": args.q, "theta_min": args.theta_min,
-                   "theta_max": args.theta_max, "points": args.points},
+                   "theta_max": args.theta_max, "points": args.points, "J": args.J,
+                   "b": args.b, "h": args.h},
         "seed": args.seed,
         "loglog_slope": slope,
         "slope_band": [0.4, 1.1],

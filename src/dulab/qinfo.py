@@ -24,7 +24,9 @@ here.  Conventions, fixed once:
 * every Schmidt spectrum and trace norm is one values-only SVD,
   ``_svdvals``, and every Haar draw's QR is one in-place ``_qr``: both give
   numpy's bits, and both call LAPACK in numpy's bundled OpenBLAS with the
-  GIL released.
+  GIL released;
+* the thread pin and both kernels find that OpenBLAS by one lookup,
+  ``_openblas``, and fall back together when it gives None.
 
 All functions are pure and all values are immutable after construction, so
 they are safe to share across threads without locking.
@@ -415,70 +417,50 @@ def uhlmann_align(psi: PureState, phi: PureState, ancilla) -> tuple[np.ndarray, 
 # numpy's bundled OpenBLAS: thread count, the values-only SVD and the QR
 # ---------------------------------------------------------------------------
 
+#: the routines of numpy's bundled OpenBLAS that dulab calls, each with its
+#: (argtypes, restype); argtypes None leaves ctypes to convert each argument
+_ROUTINES = {
+    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "scipy_zgesdd_64_": (None, None),
+    "scipy_zgeqrf_64_": ([ctypes.c_void_p] * 8, None),  # every argument is a pointer
+    "scipy_zungqr_64_": ([ctypes.c_void_p] * 9, None),
+}
+
+
 @functools.cache
 def _openblas():
-    """The OpenBLAS that numpy bundles, or None when numpy links another BLAS."""
+    """The OpenBLAS that numpy bundles, with the ``_ROUTINES`` typed, or None
+    when numpy bundles none or it lacks one of them.  The thread pin and both
+    LAPACK kernels fall back together on None."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                         "libscipy_openblas64_*.so")
     for path in glob.glob(libs):
         try:
             lib = ctypes.CDLL(path)
-        except OSError:
+            for name, (argtypes, restype) in _ROUTINES.items():
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = argtypes, restype
+        except (OSError, AttributeError):
             continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
+        return lib
     return None
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
-    None when numpy links another BLAS."""
-    lib = _openblas()
-    if lib is None:
-        return None
-    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body, or each call of a function it decorates, at one BLAS
     thread, then restore the previous count."""
-    blas = _blas_threads()
-    if blas is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get, set_ = blas
-    before = get()
-    set_(1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_(before)
-
-
-@functools.cache
-def _zgesdd():
-    """LAPACK zgesdd (64-bit integers) in numpy's bundled OpenBLAS, or None."""
-    fn = getattr(_openblas(), "scipy_zgesdd_64_", None)
-    if fn is not None:
-        fn.restype = None
-    return fn
-
-
-@functools.cache
-def _zqr():
-    """LAPACK (zgeqrf, zungqr) (64-bit integers) in numpy's bundled
-    OpenBLAS, or None."""
-    fns = tuple(getattr(_openblas(), f"scipy_{name}_64_", None) for name in ("zgeqrf", "zungqr"))
-    if None in fns:
-        return None
-    for fn, n_args in zip(fns, (8, 9)):  # every argument is a pointer
-        fn.argtypes, fn.restype = [ctypes.c_void_p] * n_args, None
-    return fns
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 #: matrices with at most this many entries keep their LAPACK workspace per
@@ -493,16 +475,16 @@ _NULL = ctypes.c_void_p()
 _CHAR_LEN = ctypes.c_size_t(1)  # gfortran's hidden length of the JOBZ string
 
 
-def _lapack_call(make, routine, m: int, n: int):
-    """``make(routine, m, n)``: a LAPACK call with its own workspace, kept
-    per thread under (make, m, n) when an m x n matrix is small, so calls on
-    several threads never share work arrays."""
+def _lapack_call(make, m: int, n: int):
+    """``make(m, n)``: a LAPACK call with its own workspace, kept per thread
+    under (make, m, n) when an m x n matrix is small, so calls on several
+    threads never share work arrays."""
     if m * n > _KEPT_WORKSPACE_ENTRIES:
-        return make(routine, m, n)
+        return make(m, n)
     kept = _kept_workspaces.__dict__
     run = kept.get((make, m, n))
     if run is None:
-        run = kept[(make, m, n)] = make(routine, m, n)
+        run = kept[(make, m, n)] = make(m, n)
     return run
 
 
@@ -510,12 +492,13 @@ def _first_byte(a: np.ndarray):
     return ctypes.byref(ctypes.c_char.from_buffer(a))
 
 
-def _gesdd_values(gesdd, m: int, n: int):
+def _gesdd_values(m: int, n: int):
     """A call ``run(a, s) -> info`` of a values-only zgesdd on an m x n
     column-major matrix at pointer ``a``, writing min(m, n) values at ``s``.
 
     lwork is LAPACK's own optimal size from a workspace query, as numpy asks
     for; the block sizes, and so the bits, follow from it."""
+    gesdd = _openblas().scipy_zgesdd_64_
     k = min(m, n)
     ints = (ctypes.c_int64 * 7)(m, n, m, m, 1, -1, 0)  # m n lda ldu ldvt lwork info
     m_, n_, lda, ldu, ldvt, lwork, info = (ctypes.byref(ints, 8 * i) for i in range(7))
@@ -546,11 +529,10 @@ def _svdvals(a: np.ndarray) -> np.ndarray:
     take numpy's own call.  Like numpy, a failure to converge (NaN input)
     raises LinAlgError, and infinite input gives NaN values.
     """
-    gesdd = _zgesdd()
-    if gesdd is None or a.dtype != np.complex128 or not a.size:
+    if _openblas() is None or a.dtype != np.complex128 or not a.size:
         return np.linalg.svd(a, compute_uv=False)
     m, n = a.shape
-    run = _lapack_call(_gesdd_values, gesdd, m, n)
+    run = _lapack_call(_gesdd_values, m, n)
     # LAPACK overwrites its input, so it gets a column-major copy, dropped on
     # return; the transpose of that copy is C-contiguous
     f = np.array(a, dtype=np.complex128, order="F")
@@ -560,7 +542,7 @@ def _svdvals(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _geqrf_ungqr(zqr, m: int, n: int):
+def _geqrf_ungqr(m: int, n: int):
     """A call ``run(f) -> diag(R)`` that overwrites an m x n (m >= n)
     column-major complex array ``f`` with the Q of its reduced QR
     decomposition: zgeqrf, then zungqr on the same buffer.
@@ -569,7 +551,8 @@ def _geqrf_ungqr(zqr, m: int, n: int):
     the block sizes, and so the bits, follow from it.  Neither routine can
     fail on such an array (info flags only an illegal argument), so info is
     not read."""
-    geqrf, ungqr = zqr
+    lib = _openblas()
+    geqrf, ungqr = lib.scipy_zgeqrf_64_, lib.scipy_zungqr_64_
     ints = (ctypes.c_int64 * 6)(m, n, m, -1, -1, 0)  # m n lda lwork(geqrf) lwork(ungqr) info
     m_, n_, lda, lwork_r, lwork_q, info = (ctypes.byref(ints, 8 * i) for i in range(6))
     tau = (ctypes.c_double * (2 * n))()
@@ -603,8 +586,7 @@ def _qr(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if f.shape != (n, n) or f.dtype != np.complex128 or not f.flags.f_contiguous:
         raise ValueError(f"need a square column-major complex128 matrix, got {f.shape} "
                          f"{f.dtype} with strides {f.strides}")
-    zqr = _zqr()
-    if zqr is None or not n:
+    if _openblas() is None or not n:
         q, r = np.linalg.qr(f)
         return q, np.diag(r)
-    return f, _lapack_call(_geqrf_ungqr, zqr, n, n)(f)
+    return f, _lapack_call(_geqrf_ungqr, n, n)(f)

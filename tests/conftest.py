@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from dulab import qinfo
 from dulab.qinfo import DensityMatrix, PureState
 
 
@@ -33,6 +34,15 @@ def chain_sites(state: PureState) -> list:
         rest = r
     sites.append(rest.reshape(-1, state.dims[-1], 1))
     return sites
+
+
+def blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, from
+    ``qinfo._openblas()``; skips the test when numpy bundles none."""
+    lib = qinfo._openblas()
+    if lib is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
 
 
 def checkout_env(**extra):

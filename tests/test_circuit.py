@@ -36,7 +36,7 @@ from dulab.gates import (
 )
 from dulab.qinfo import PureState, bell_state, entropy_vn, kron_states, marginal_probs, reduce
 from dulab.cli import main
-from conftest import chain_sites, random_pure
+from conftest import blas_threads, chain_sites, random_pure
 
 LN2 = math.log(2.0)
 QUARTER = math.pi / 4
@@ -202,10 +202,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("entry", ["evolve", "chain_probs"])
     def test_chain_entry_points_run_at_one_blas_thread(self, entry, monkeypatch):
-        blas = qinfo._blas_threads()
-        if blas is None:
-            pytest.skip("numpy does not bundle OpenBLAS")
-        get, set_ = blas
+        get, set_ = blas_threads()
         sweep, seen = ckt._sweep, []
 
         def recording_sweep(*args, **kwargs):

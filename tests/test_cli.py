@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import checkout_env
+from conftest import blas_threads, checkout_env
 from dulab.circuit import BrickworkCircuit, dimer_sites, evolve
 from dulab.cli import main
 from dulab.gates import haar_gate, swap_gate, write_gate_file
@@ -266,13 +266,27 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["kicked-ising", "--class", "L", "--L", "8", "--steps", "1"],
-         "--steps 1 ends before the class L zigzag forms at t = 2"),
+         "at --steps 1 --L 8: need --steps >= 4 and --L >= 10"),
         (["kicked-ising", "--class", "T", "--L", "8", "--steps", "0"],
-         "--steps 0 ends before the class T zigzag forms at t = 1"),
+         "at --steps 0 --L 8: need --steps >= 3 and --L >= 8"),
         (["zigzag", "--q", "2", "--L", "8", "--steps", "1", "--gate", "swap", "--assert"],
          "need --steps >= 2 and --L >= 6"),
         (["zigzag", "--q", "2", "--L", "4", "--steps", "4", "--gate", "swap", "--assert"],
          "need --steps >= 2 and --L >= 6"),
+        # the zigzag forms, but the relay after it is never read: on a
+        # non-dual kick these passed --assert with relay_deviation 0.0
+        (["kicked-ising", "--class", "T", "--b", "0.5", "--h", "0.3", "--L", "14",
+          "--steps", "2", "--assert"],
+         "no relay time t >= 3 of the class T zigzag lies inside the light cone at "
+         "--steps 2 --L 14: need --steps >= 3 and --L >= 8"),
+        (["kicked-ising", "--class", "T", "--b", "0.5", "--h", "0.3", "--L", "6",
+          "--steps", "6", "--assert"],
+         "at --steps 6 --L 6: need --steps >= 3 and --L >= 8"),
+        (["kicked-ising", "--class", "L", "--L", "14", "--steps", "3", "--assert"],
+         "no relay time t >= 4 of the class L zigzag lies inside the light cone at "
+         "--steps 3 --L 14: need --steps >= 4 and --L >= 10"),
+        (["kicked-ising", "--class", "L", "--L", "8", "--steps", "6", "--assert"],
+         "at --steps 6 --L 8: need --steps >= 4 and --L >= 10"),
     ])
     def test_run_without_a_checked_time_exits_2(self, argv, message, tmp_path, capsys):
         # a run whose pass criterion would read no time step is a usage error
@@ -315,12 +329,7 @@ class TestBlasThreads:
                 == outputs_at_blas_threads(argv, "2", tmp_path))
 
     def test_main_restores_the_callers_thread_count(self, tmp_path, capsys):
-        from dulab import qinfo
-
-        blas = qinfo._blas_threads()
-        if blas is None:
-            pytest.skip("numpy does not bundle OpenBLAS")
-        get, set_ = blas
+        get, set_ = blas_threads()
         before = get()
         try:
             set_(2)
@@ -374,13 +383,12 @@ class TestStartup:
         assert "scipy.linalg._basic" in scan
 
     def test_import_looks_up_no_blas_library(self):
-        # set-up time: the OpenBLAS and LAPACK lookups run on first use only
-        probe = ("import json, dulab.cli; from dulab import qinfo; print(json.dumps("
-                 "[f.cache_info().currsize for f in (qinfo._openblas, qinfo._blas_threads, "
-                 "qinfo._zgesdd, qinfo._zqr)]))")
+        # set-up time: the one OpenBLAS lookup runs on first use only
+        probe = ("import dulab.cli; from dulab import qinfo; "
+                 "print(qinfo._openblas.cache_info().currsize)")
         res = subprocess.run([sys.executable, "-c", probe], env=checkout_env(), check=True,
                              capture_output=True, text=True, timeout=120)
-        assert json.loads(res.stdout) == [0, 0, 0, 0]
+        assert res.stdout == "0\n"
 
 
 #: one small run per subcommand; haar-fidelity at q = 2 misses its target
@@ -537,6 +545,15 @@ class TestKickedIsingCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["zigzag_ok"] is True
+
+    @pytest.mark.parametrize("klass, L, steps", [("T", "8", "3"), ("L", "10", "4")])
+    def test_shortest_checked_run_passes(self, klass, L, steps, capsys):
+        # the smallest --steps and --L at which the relay is read once
+        code = run(["kicked-ising", "--class", klass, "--L", L, "--steps", steps,
+                    "--J", repr(math.pi / 4), "--b", repr(math.pi / 4), "--h", "0.3", "--assert"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["zigzag_ok"] is True and doc["growth_per_two_layers_ok"] is True
 
     def test_no_negative_zero_entropy(self, capsys):
         # a pure cut's entropy is -(1 ln 1), which prints as -0.0 unless fixed
@@ -719,6 +736,20 @@ class TestScanEpsDelta:
             run(["scan-eps-delta", "--base", "identity", "--q", "2", "--seed", "1"])
         assert e.value.code == 2 and len(calls) == 2
         assert "--base identity is not dual unitary: its choi_defect 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["project-dual", "--gate", "kicked-ising", "--q", "2"],
+    ["scan-eps-delta", "--base", "kicked-ising", "--q", "2", "--seed", "8", "--format", "json"],
+])
+def test_params_record_the_kick(argv, capsys):
+    # the scan's sqrt_law_constant moves with --h, so params must name it
+    params = []
+    for h in ("0.3", "0.9"):
+        assert run([*argv, "--h", h]) == 0
+        params.append(json.loads(capsys.readouterr().out)["params"])
+    assert [p["h"] for p in params] == [0.3, 0.9]
+    assert {k for k, v in params[0].items() if params[1][k] != v} == {"h"}
 
 
 class TestConsoleEntrypoint:

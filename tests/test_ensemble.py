@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from dulab import ensemble, qinfo
+from dulab import ensemble
 from dulab.ensemble import (
     EpsDeltaPoint,
     catalan_number,
@@ -30,6 +30,8 @@ from dulab.gates import (
 )
 from dulab.qinfo import fidelity, maximally_mixed, schmidt_probs
 from dulab.gates import choi_output_state, choi_vector
+
+from conftest import blas_threads
 
 QUARTER = math.pi / 4
 
@@ -120,10 +122,7 @@ class TestStreamReuseAndFanOut:
         assert haar_state_fidelity(16, 8, seed=13).values == serial.values
 
     def test_fan_out_threads_run_at_one_blas_thread(self, monkeypatch):
-        blas = qinfo._blas_threads()
-        if blas is None:
-            pytest.skip("numpy does not bundle OpenBLAS")
-        get, set_ = blas
+        get, set_ = blas_threads()
         # the first two samples wait for each other, so two threads take part
         both = threading.Barrier(2, timeout=30)
         calls, seen = [], []
@@ -191,10 +190,7 @@ class TestStreamReuseAndFanOut:
             choi_spectra(2, 1, 1)
 
     def test_loop_runs_at_one_blas_thread_and_restores_the_count(self):
-        blas = qinfo._blas_threads()
-        if blas is None:
-            pytest.skip("numpy does not bundle OpenBLAS")
-        get = blas[0]
+        get = blas_threads()[0]
         before = get()
         seen = []
 

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from dulab.qinfo import (
     trace_norm_distance,
     uhlmann_align,
 )
-from conftest import random_density, random_pure
+from conftest import blas_threads, random_density, random_pure
 
 LN2 = math.log(2.0)
 
@@ -236,7 +237,7 @@ class TestSvdvals:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         kernel = qinfo._svdvals(a)
-        monkeypatch.setattr(qinfo, "_zgesdd", lambda: None)
+        monkeypatch.setattr(qinfo, "_openblas", lambda: None)
         assert np.array_equal(qinfo._svdvals(a), kernel)
 
     def test_threads_bit_equal_to_one_loop(self):
@@ -286,7 +287,7 @@ class TestHaarQr:
 
     def test_numpy_fallback_without_the_library(self, monkeypatch):
         kernel = [haar_unitary(d, 3) for d in (2, 17, 256)]
-        monkeypatch.setattr(qinfo, "_zqr", lambda: None)
+        monkeypatch.setattr(qinfo, "_openblas", lambda: None)
         for d, u in zip((2, 17, 256), kernel):
             fallback = haar_unitary(d, 3)
             assert np.array_equal(fallback, u)
@@ -314,6 +315,43 @@ class TestHaarQr:
             u = haar_unitary(0, seed)
             assert u.shape == (0, 0) and u.dtype == np.complex128
         assert capfd.readouterr().err == ""
+
+
+class TestOpenblasLookup:
+    """One lookup of numpy's OpenBLAS decides for the thread pin and both
+    LAPACK kernels."""
+
+    @pytest.mark.parametrize("missing", sorted(qinfo._ROUTINES))
+    def test_a_missing_routine_makes_all_three_fall_back(self, missing, monkeypatch):
+        get, set_ = blas_threads()
+        cdll = ctypes.CDLL
+
+        class Lacking:
+            """numpy's OpenBLAS without the routine ``missing``."""
+
+            def __init__(self, path):
+                self.lib = cdll(path)
+
+            def __getattr__(self, name):
+                if name == missing:
+                    raise AttributeError(name)
+                return getattr(self.lib, name)
+
+        monkeypatch.setattr(ctypes, "CDLL", Lacking)
+        assert qinfo._openblas.__wrapped__() is None
+        monkeypatch.setattr(qinfo, "_openblas", qinfo._openblas.__wrapped__)
+        monkeypatch.setattr(qinfo, "_lapack_call", lambda *args: pytest.fail("LAPACK called"))
+        before = get()
+        try:
+            set_(2)
+            with qinfo._one_blas_thread():
+                assert get() == 2
+        finally:
+            set_(before)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        assert np.array_equal(qinfo._svdvals(a), np.linalg.svd(a, compute_uv=False))
+        assert np.array_equal(haar_unitary(17, 3), TestHaarQr.numpy_haar(17, 3))
 
 
 class TestDistances:
