@@ -61,13 +61,11 @@ def max_amplitudes() -> int:
     return cap
 
 
-def _check_capacity(n_amplitudes: int) -> None:
-    cap = max_amplitudes()
-    if n_amplitudes > cap:
-        raise CapacityError(
-            f"state of {n_amplitudes} amplitudes exceeds the budget {cap} "
-            f"(override via {CAPACITY_ENV})"
-        )
+def _over_budget(what: str, n_amplitudes: int, cap: int) -> CapacityError:
+    return CapacityError(
+        f"{what} of {n_amplitudes} amplitudes exceeds the budget {cap} "
+        f"(override via {CAPACITY_ENV})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +243,18 @@ def _sweep(sites: list, gates: Mapping[int, np.ndarray], rightward: bool) -> lis
     """One canonical sweep that carries the centre from one end of the chain
     to the other.  At each cut b it contracts the two sites, applies
     ``gates[b]`` if the map holds one and takes one SVD; returns the Schmidt
-    weights at every cut, indexed by bond."""
+    weights at every cut, indexed by bond.  The amplitude budget bounds the
+    two-site block before it is formed and the site tensors after each
+    SVD."""
+    cap = max_amplitudes()
     probs = [None] * (len(sites) - 1)
     for b in range(len(probs)) if rightward else range(len(probs) - 1, -1, -1):
         chi_l, d_l = sites[b].shape[:2]
         d_r, chi_r = sites[b + 1].shape[1:]
+        n_block = chi_l * d_l * d_r * chi_r
+        if n_block > cap:
+            raise _over_budget(f"bond {b}'s two-site block ({chi_l}, {d_l}, {d_r}, {chi_r})",
+                               n_block, cap)
         theta = np.tensordot(sites[b], sites[b + 1], 1).reshape(chi_l, d_l * d_r, chi_r)
         if b in gates:
             theta = np.matmul(gates[b], theta)
@@ -261,7 +266,9 @@ def _sweep(sites: list, gates: Mapping[int, np.ndarray], rightward: bool) -> lis
         else:
             u = u * s
         sites[b], sites[b + 1] = u.reshape(chi_l, d_l, -1), vh.reshape(-1, d_r, chi_r)
-        _check_capacity(sum(a.size for a in sites))
+        n_amplitudes = sum(a.size for a in sites)
+        if n_amplitudes > cap:
+            raise _over_budget("state", n_amplitudes, cap)
     return probs
 
 

@@ -73,28 +73,37 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_atomic(files: dict) -> None:
-    """Write each {path: text} entry through a temp file in the target's
-    directory.  Every temp file is written before any is renamed into place,
-    so a failure leaves none of the paths touched; files get the
-    0o666 & ~umask mode that a plain open would give them."""
+    """Write each {path: text} entry at the path's resolved target
+    (``os.path.realpath``, so a symlink stays a link to its file).  A
+    regular or new target gets a temp file in its directory, renamed into
+    place last; files get the 0o666 & ~umask mode that a plain open would
+    give them.  An existing target that is not a regular file (a FIFO, a
+    device) cannot be renamed over, so it is opened and written in place,
+    after every temp file is written and before any rename.  A failure
+    leaves every regular target untouched."""
     umask = os.umask(0)
     os.umask(umask)
-    tmps = []
+    targets = {path: os.path.realpath(path) for path in files}
+    tmps = {}
     try:
-        for path, text in files.items():
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".dulab-")
-            tmps.append(tmp)
+        for path, target in targets.items():
+            if os.path.exists(target) and not os.path.isfile(target):
+                continue
+            fd, tmps[path] = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".dulab-")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
-                fh.write(text)
-        for tmp, path in zip(tmps, files):
-            os.replace(tmp, path)
+                fh.write(files[path])
+        for path, target in targets.items():
+            if path not in tmps:
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(files[path])
+        for path, tmp in tmps.items():
+            os.replace(tmp, targets[path])
     except OSError as exc:
-        # name the path that was asked for, not its temp file
+        # name the path that was asked for, not its temp file or target
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        for tmp in tmps:
+        for tmp in tmps.values():
             if os.path.exists(tmp):
                 os.unlink(tmp)
 

@@ -54,12 +54,12 @@ def _lazy_module(name: str):
     return module
 
 
-#: scipy.linalg runs on the first ``perturbed`` call (its ``expm``) and not
-#: before: nothing else needs it, and importing it doubles the start-up
-#: time.  It is registered at import all the same, because code that wraps
-#: ``scipy.linalg.expm`` from outside (the benchmark's tracer) finds the
-#: module in ``sys.modules``
-_scipy_linalg = _lazy_module("scipy.linalg")
+#: No dulab code calls scipy.linalg.  It is registered here, and scipy kept
+#: as a dependency, only so that the benchmark's tracer, which looks
+#: ``scipy.linalg.expm`` up in ``sys.modules`` without importing it, finds
+#: the module; the module's code runs only if something reads an attribute.
+#: Both go once the tracer imports its own kernel modules (ROADMAP item 1)
+_lazy_module("scipy.linalg")
 
 # columns are the Bell-like basis in which two-qubit interactions
 # exp(-i sum J sigma sigma) are diagonal and one-site unitaries are real
@@ -182,8 +182,11 @@ def kicked_ising_first_gate(J: float, h: float) -> Gate:
 
 def perturbed(base: Gate, theta: float, h: np.ndarray) -> Gate:
     """base exp(-i theta h): the gate a distance ~theta from ``base`` along
-    the Hermitian direction h."""
-    return Gate(base.q, base.matrix @ _scipy_linalg.expm(-1j * theta * h))
+    the Hermitian direction h.  The exponential comes from one ``eigh`` of
+    h = V diag(lambda) V^dagger as exp(-i theta h) = V diag(e^{-i theta
+    lambda}) V^dagger; ``Gate`` validates the product's unitarity."""
+    lam, v = np.linalg.eigh(h)
+    return Gate(base.q, base.matrix @ ((v * np.exp(-1j * theta * lam)) @ v.conj().T))
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:
