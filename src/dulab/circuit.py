@@ -160,7 +160,7 @@ class EntanglementRecord:
     """Bond-entropy profiles (nats) after each layer, t = 0 being the input."""
 
     profiles: np.ndarray  # shape (T + 1, L - 1)
-    q: int = 2
+    q: int
 
     @property
     def L(self) -> int:
@@ -311,7 +311,11 @@ def evolve(circuit: BrickworkCircuit, initial: Sequence[np.ndarray], T: int) -> 
     return EntanglementRecord(profiles=np.array(profiles), q=q)
 
 
-def zigzag_check(profile: Sequence[float], q: int, tol: float = 1e-9):
+#: the relay S(t) - S(t0) = (t - t0) ln q and the zigzag hold to within this
+RELAY_TOL = 1e-9
+
+
+def zigzag_check(profile: Sequence[float], q: int, tol: float = RELAY_TOL):
     """True iff successive bond differences alternate +-ln q within tol;
     also reports whether the valleys sit on even or odd bonds."""
     profile = np.asarray(profile, dtype=float)

@@ -159,9 +159,9 @@ def _cmd_zigzag(args):
         "max_step_increase": step,
         "per_gate_bound_ok": bound_ok,
         "target": "S(t) - S(0) = t*ln(q) at even t within the light cone",
-        "tolerance": 1e-9,
+        "tolerance": ckt.RELAY_TOL,
         "max_even_t_deviation": worst,
-        "pass": bool(worst <= 1e-9 and bound_ok),
+        "pass": bool(worst <= ckt.RELAY_TOL and bound_ok),
     }
     if args.bits:
         doc["central_entropy_bits_display"] = [float(x / math.log(2)) for x in central]
@@ -195,10 +195,10 @@ def _cmd_kicked_ising(args):
         initial = ckt.z_product_sites(L, [k % 2 for k in range(L)])
     rec = ckt.evolve(circ, initial, T)
     ln2 = math.log(2)
-    ok_zig, parity = ckt.zigzag_check(rec.profiles[zig_time], 2, tol=1e-9)
+    ok_zig, parity = ckt.zigzag_check(rec.profiles[zig_time], 2)
     central = rec.central_series()
     # the relay from the zigzag time on: S(t) - S(t0) = (t - t0) ln 2
-    growth_ok = rec.relay_deviation(zig_time) <= 1e-9
+    growth_ok = rec.relay_deviation(zig_time) <= ckt.RELAY_TOL
     ok = bool(ok_zig and growth_ok)
     doc = {
         "params": {"L": L, "steps": T, "class": args.klass, "J": args.J,
@@ -208,7 +208,7 @@ def _cmd_kicked_ising(args):
         "zigzag_valley_parity": parity,
         "central_entropy_nats": [float(x) for x in central],
         "growth_per_two_layers_ok": bool(growth_ok),
-        "tolerance": 1e-9,
+        "tolerance": ckt.RELAY_TOL,
         "pass": ok,
     }
     if args.bits:

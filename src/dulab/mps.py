@@ -54,10 +54,6 @@ class MPSPair:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
-    @property
-    def chi_prime(self) -> int:
-        return self.chi * self.q
-
     def cell_matrices(self) -> np.ndarray:
         """All q^2 products A^i B^j, shape (q, q, chi, chi)."""
         return np.einsum("iac,jcb->ijab", self.A, self.B)

@@ -36,6 +36,16 @@ def chain_sites(state: PureState) -> list:
     return sites
 
 
+def write_gate_file(g, path) -> None:
+    """Write ``g`` in the text format ``gates.read_gate_file`` parses:
+    line 1 is q, then q^2 lines of q^2 entries "re,im"."""
+    lines = [str(g.q)]
+    for row in g.matrix:
+        lines.append(" ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def blas_threads():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, from
     ``qinfo._openblas()``; skips the test when numpy bundles none."""

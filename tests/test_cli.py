@@ -9,10 +9,10 @@ import threading
 
 import pytest
 
-from conftest import blas_threads, checkout_env
+from conftest import blas_threads, checkout_env, write_gate_file
 from dulab.circuit import BrickworkCircuit, dimer_sites, evolve
 from dulab.cli import main
-from dulab.gates import haar_gate, swap_gate, write_gate_file
+from dulab.gates import haar_gate, swap_gate
 
 
 def run(argv):
@@ -436,6 +436,47 @@ def test_runner_contract(command, tmp_path, capsys):
     assert list(doc)[:2] == ["schema_version", "experiment"]
     assert doc["experiment"] == command
     assert code == (0 if doc["pass"] else 1)
+
+
+#: runs each argv list with --out after ``setup`` and prints, as JSON, each
+#: run's exit code, stdout and --out bytes, then the scipy modules loaded
+RUNNER_PROBE = """
+import contextlib, io, json, os, sys
+{setup}
+import dulab.cli
+
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = os.path.join(sys.argv[1], argv[0])
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = dulab.cli.main([*argv, "--out", out])
+    with open(out, "rb") as fh:
+        runs.append([argv[0], code, text.getvalue(), fh.read().hex()])
+scipy = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod is not None)
+print(json.dumps({{"runs": runs, "scipy": scipy}}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is no runtime dependency: with it unimportable, every command
+    # gives the same stdout, --out bytes and exit code
+    commands = [[command, *argv, "--assert"] for command, argv in RUNNER_CASES.items()]
+
+    def probe(name, setup):
+        (tmp_path / name).mkdir()
+        res = subprocess.run([sys.executable, "-c", RUNNER_PROBE.format(setup=setup),
+                              str(tmp_path / name), json.dumps(commands)],
+                             env=checkout_env(), check=True, capture_output=True, text=True,
+                             timeout=120)
+        return json.loads(res.stdout)
+
+    with_scipy = probe("with", "")
+    without = probe("without", 'sys.modules["scipy"] = None')
+    assert without["runs"] == with_scipy["runs"]
+    assert [name for name, *_ in without["runs"]] == list(RUNNER_CASES)
+    assert without["scipy"] == []
+    # the benchmark tracer's registration still happens where scipy is installed
+    assert "scipy.linalg" in with_scipy["scipy"]
 
 
 @pytest.mark.parametrize("argv, shown", [

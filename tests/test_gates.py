@@ -27,9 +27,9 @@ from dulab.gates import (
     read_gate_file,
     reshuffle,
     swap_gate,
-    write_gate_file,
 )
 from dulab.qinfo import bell_state, trace_norm
+from conftest import write_gate_file
 
 QUARTER = math.pi / 4
 

@@ -92,7 +92,7 @@ class TestRandomSolvable:
         pair = random_solvable(3, 2, seed=1)
         assert np.asarray(pair.A).shape == (3, 2, 6)
         assert np.asarray(pair.B).shape == (3, 6, 2)
-        assert pair.chi_prime == 6
+        assert pair.chi * pair.q == 6
 
 
 class TestDenseState:
