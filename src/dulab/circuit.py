@@ -26,6 +26,7 @@ from .qinfo import (
     DensityMatrix,
     PureState,
     _one_blas_thread,
+    _svdvals,
     apply_unitary,
     bell_state,
     entropy_from_probs,
@@ -239,33 +240,27 @@ def _left_canonical(chain) -> list:
     return sites
 
 
-def _sweep(sites: list, gates: Mapping[int, np.ndarray], rightward: bool) -> list:
-    """One canonical sweep that carries the centre from one end of the chain
-    to the other.  At each cut b it contracts the two sites, applies
-    ``gates[b]`` if the map holds one and takes one SVD; returns the Schmidt
-    weights at every cut, indexed by bond.  The amplitude budget bounds the
-    two-site block before it is formed and the site tensors after each
-    SVD."""
+def _sweep(sites: list) -> list:
+    """One leftward canonical sweep that carries the centre from the right
+    end of the chain to site 0.  At each cut b it contracts the two sites
+    and takes one SVD u s vh, leaving B_{b+1} = vh right-canonical and u s
+    at site b; returns the Schmidt weights at every cut, indexed by bond.
+    The amplitude budget bounds the two-site block before it is formed and
+    the site tensors after each SVD."""
     cap = max_amplitudes()
     probs = [None] * (len(sites) - 1)
-    for b in range(len(probs)) if rightward else range(len(probs) - 1, -1, -1):
+    for b in range(len(probs) - 1, -1, -1):
         chi_l, d_l = sites[b].shape[:2]
         d_r, chi_r = sites[b + 1].shape[1:]
         n_block = chi_l * d_l * d_r * chi_r
         if n_block > cap:
             raise _over_budget(f"bond {b}'s two-site block ({chi_l}, {d_l}, {d_r}, {chi_r})",
                                n_block, cap)
-        theta = np.tensordot(sites[b], sites[b + 1], 1).reshape(chi_l, d_l * d_r, chi_r)
-        if b in gates:
-            theta = np.matmul(gates[b], theta)
+        theta = np.tensordot(sites[b], sites[b + 1], 1)
         u, s, vh = _svd_cut(theta.reshape(chi_l * d_l, d_r * chi_r))
         p = s * s
         probs[b] = p / p.sum()
-        if rightward:
-            vh = s[:, None] * vh
-        else:
-            u = u * s
-        sites[b], sites[b + 1] = u.reshape(chi_l, d_l, -1), vh.reshape(-1, d_r, chi_r)
+        sites[b], sites[b + 1] = (u * s).reshape(chi_l, d_l, -1), vh.reshape(-1, d_r, chi_r)
         n_amplitudes = sum(a.size for a in sites)
         if n_amplitudes > cap:
             raise _over_budget("state", n_amplitudes, cap)
@@ -278,7 +273,63 @@ def chain_probs(sites) -> list:
     chi_r) with unit outer bonds, indexed by bond: one split and one
     leftward sweep, under the same SV_CUT and amplitude budget as
     ``evolve``."""
-    return _sweep(_left_canonical(sites), {}, rightward=False)
+    return _sweep(_left_canonical(sites))
+
+
+def _check_layer(t: int, bonds, L: int) -> None:
+    """A layer map gates bonds of the chain, 0 ... L - 2, and no two of its
+    bonds share a site."""
+    outside = sorted(b for b in bonds if not 0 <= b <= L - 2)
+    if outside:
+        raise ValueError(f"layer {t} gates bonds {outside} outside the chain's bonds "
+                         f"0 ... {L - 2}")
+    shared = [(b, b + 1) for b in sorted(bonds) if b + 1 in bonds]
+    if shared:
+        raise ValueError(f"layer {t} gates bonds that share a site: "
+                         + ", ".join(f"{b} and {c}" for b, c in shared))
+
+
+def _layer(sites: list, probs: list, gates: Mapping[int, np.ndarray], values_only: bool) -> None:
+    """Apply one layer, {bond: gate matrix} on bonds that share no site, in
+    place to a right-canonical chain (site 0 holds the norm) whose Schmidt
+    weights at every cut are ``probs``.
+
+    Only the gated bonds change: at bond b, block = gate (B_b B_{b+1}) and
+    theta = Lambda_{b-1} block, with Lambda = sqrt(probs) (1 at b = 0); the
+    SVD theta = u s vh gives B_{b+1} = vh, B_b = block vh^dagger and
+    probs[b] = s^2 / sum s^2 (Hastings, J. Math. Phys. 50, 095207 (2009)).
+    No Schmidt value is divided by, and the chain stays right-canonical.  A
+    layer acts on a cut it does not gate as U_left (x) U_right, so the
+    weights there stay as they are.  With ``values_only`` each bond takes
+    only the singular values (same SV_CUT rule) and no site tensor is formed.
+    The amplitude budget bounds each two-site block before it is formed and,
+    after each gated bond, the site tensors at the sizes they would have."""
+    cap = max_amplitudes()
+    n_amplitudes = sum(a.size for a in sites)
+    for b in sorted(gates):
+        chi_l, d_l = sites[b].shape[:2]
+        d_r, chi_r = sites[b + 1].shape[1:]
+        n_block = chi_l * d_l * d_r * chi_r
+        if n_block > cap:
+            raise _over_budget(f"bond {b}'s two-site block ({chi_l}, {d_l}, {d_r}, {chi_r})",
+                               n_block, cap)
+        block = np.tensordot(sites[b], sites[b + 1], 1).reshape(chi_l, d_l * d_r, chi_r)
+        block = np.matmul(gates[b], block)
+        lam = np.sqrt(probs[b - 1])[:, None, None] if b else 1.0
+        theta = (lam * block).reshape(chi_l * d_l, d_r * chi_r)
+        n_amplitudes -= sites[b].size + sites[b + 1].size
+        if values_only:
+            s = _svdvals(theta)
+            s = s[s > SV_CUT * s[0]]
+        else:
+            _, s, vh = _svd_cut(theta)
+            sites[b] = (block.reshape(chi_l * d_l, -1) @ vh.conj().T).reshape(chi_l, d_l, -1)
+            sites[b + 1] = vh.reshape(-1, d_r, chi_r)
+        n_amplitudes += (chi_l * d_l + d_r * chi_r) * len(s)
+        p = s * s
+        probs[b] = p / p.sum()
+        if n_amplitudes > cap:
+            raise _over_budget("state", n_amplitudes, cap)
 
 
 @_one_blas_thread()
@@ -286,28 +337,38 @@ def evolve(circuit: BrickworkCircuit, initial: Sequence[np.ndarray], T: int) -> 
     """Apply T alternating brickwork layers to an exact matrix-product state,
     recording bond entropies after each layer; the central-cut flag goes
     false once 2t + 2 > L.  ``circuit`` is read only through ``L``, ``q``
-    and ``layer(t)``, so any such schedule drives it.
+    and ``layer(t)``, so any such schedule drives it; every layer must gate
+    bonds 0 ... L - 2 that share no site (else ValueError, before any work).
 
     ``initial`` is a chain of site tensors (chi_l, q, chi_r) with unit
-    outer bonds, as the ``*_sites`` builders give.  Layer t (none at
-    t = 0) is one canonical sweep, rightward at odd t, so every bond
-    spectrum costs one SVD per layer (see ``_sweep``); singular values at
-    or below SV_CUT times the largest at a cut are dropped, and the
+    outer bonds, as the ``*_sites`` builders give.  At t = 0 one split and
+    one leftward sweep (``chain_probs``) leave every site right-canonical
+    and give each cut's Schmidt weights.  Each layer then takes one SVD per
+    gated bond and keeps the weights of the cuts it does not gate (see
+    ``_layer``); the last layer takes only singular values.  Singular values
+    at or below SV_CUT times the largest at a cut are dropped, and the
     amplitude budget counts the entries of the site tensors.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     L, q = circuit.L, circuit.q
+    layers = [circuit.layer(t) for t in range(1, T + 1)]
+    for t, gates in enumerate(layers, 1):
+        _check_layer(t, gates, L)
     sites = _left_canonical(initial)
     dims = tuple(a.shape[1] for a in sites)
     if dims != (q,) * L:
         raise ValueError(
             f"initial state dims {dims} do not match circuit (L = {L}, q = {q})"
         )
-    profiles = []
-    for t in range(T + 1):
-        probs = _sweep(sites, circuit.layer(t) if t else {}, rightward=t % 2 == 1)
-        profiles.append([entropy_from_probs(p) for p in probs])
+    probs = _sweep(sites)
+    profiles = [[entropy_from_probs(p) for p in probs]]
+    for t, gates in enumerate(layers, 1):
+        _layer(sites, probs, gates, values_only=t == T)
+        row = list(profiles[-1])
+        for b in gates:
+            row[b] = entropy_from_probs(probs[b])
+        profiles.append(row)
     return EntanglementRecord(profiles=np.array(profiles), q=q)
 
 

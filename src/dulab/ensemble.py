@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import (DUAL_TOL, Gate, _defect_from_probs, choi_defect, choi_probs,
-                    haar_unitary, nearest_dual_q2, perturbed)
+                    haar_unitary, nearest_dual_q2, perturbation)
 from .qinfo import _one_blas_thread, schmidt_probs
 
 #: values whose magnitude is below this are rounding noise and reported as 0
@@ -234,11 +234,11 @@ def eps_delta_scan(base: Gate, thetas, seed: int) -> list:
     defect = choi_defect(base)
     if defect > DUAL_TOL:
         raise NotDualError(defect)
-    h = random_hermitian_direction(d, seed)
+    along = perturbation(base, random_hermitian_direction(d, seed))
     points = []
     for theta in thetas:
         theta = float(theta)
-        u = perturbed(base, theta, h)
+        u = along(theta)
         p = choi_probs(u.matrix, q)
         eps_terms = np.full(d, 1 / d)  # 0 ln 0 = 0: a zero weight adds 1/d
         nz = p > 0

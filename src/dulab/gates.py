@@ -185,13 +185,20 @@ def kicked_ising_first_gate(J: float, h: float) -> Gate:
     return Gate(2, np.diag(np.exp(-1j * (J * _ZZ + (h / 2) * _Z_SUM))))
 
 
-def perturbed(base: Gate, theta: float, h: np.ndarray) -> Gate:
-    """base exp(-i theta h): the gate a distance ~theta from ``base`` along
-    the Hermitian direction h.  The exponential comes from one ``eigh`` of
-    h = V diag(lambda) V^dagger as exp(-i theta h) = V diag(e^{-i theta
-    lambda}) V^dagger; ``Gate`` validates the product's unitarity."""
+def perturbation(base: Gate, h: np.ndarray):
+    """theta -> base exp(-i theta h): the gates a distance ~theta from
+    ``base`` along the Hermitian direction h.  One ``eigh`` of h = V
+    diag(lambda) V^dagger serves every theta, as exp(-i theta h) = V
+    diag(e^{-i theta lambda}) V^dagger; ``Gate`` validates each product's
+    unitarity."""
     lam, v = np.linalg.eigh(h)
-    return Gate(base.q, base.matrix @ ((v * np.exp(-1j * theta * lam)) @ v.conj().T))
+    vh = v.conj().T
+    return lambda theta: Gate(base.q, base.matrix @ ((v * np.exp(-1j * theta * lam)) @ vh))
+
+
+def perturbed(base: Gate, theta: float, h: np.ndarray) -> Gate:
+    """base exp(-i theta h), the one gate ``perturbation(base, h)`` gives at theta."""
+    return perturbation(base, h)(theta)
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

@@ -202,14 +202,18 @@ class TestEvolve:
 
     @pytest.mark.parametrize("entry", ["evolve", "chain_probs"])
     def test_chain_entry_points_run_at_one_blas_thread(self, entry, monkeypatch):
+        # the t = 0 sweep and every layer of ``evolve`` read the pinned count
         get, set_ = blas_threads()
-        sweep, seen = ckt._sweep, []
+        seen = []
 
-        def recording_sweep(*args, **kwargs):
-            seen.append(get())
-            return sweep(*args, **kwargs)
+        def recording(step):
+            def run(*args, **kwargs):
+                seen.append(get())
+                return step(*args, **kwargs)
+            return run
 
-        monkeypatch.setattr(ckt, "_sweep", recording_sweep)
+        monkeypatch.setattr(ckt, "_sweep", recording(ckt._sweep))
+        monkeypatch.setattr(ckt, "_layer", recording(ckt._layer))
         before = get()
         try:
             set_(2)
@@ -236,6 +240,93 @@ class TestEvolve:
         assert rows[1:] == [[str(t), str(b), repr(float(rec.profiles[t, b])),
                              str(rec.light_cone_valid[t]).lower()]
                             for t in rec.times for b in range(5)]
+
+
+def haar_brickwork(q: int, L: int, seed: int, parity: str = "even") -> BrickworkCircuit:
+    """A brickwork circuit with its own Haar gate on every bond."""
+    gates = {b: haar_gate(q, 100 * seed + b) for b in range(L - 1)}
+    return BrickworkCircuit(L=L, q=q, gate=gates[0], bond_gates=gates, first_parity=parity)
+
+
+class TestLayerMap:
+    @pytest.mark.parametrize("bonds, message", [
+        ({0: None, 5: None}, r"layer 2 gates bonds \[5\] outside the chain's bonds 0 \.\.\. 4"),
+        ({-1: None, 2: None}, r"layer 2 gates bonds \[-1\] outside"),
+        ({1: None, 2: None, 4: None}, r"layer 2 gates bonds that share a site: 1 and 2"),
+        ({0: None, 1: None, 2: None}, r"share a site: 0 and 1, 1 and 2"),
+    ], ids=["past-the-end", "negative", "adjacent", "three-in-a-row"])
+    def test_bad_layer_map_rejected(self, bonds, message):
+        # a layer acts on disjoint pairs of sites inside the chain; any other
+        # map has no brickwork meaning and must not run
+        swap = swap_gate(2).matrix
+        gates = {b: swap for b in bonds}
+        schedule = types.SimpleNamespace(L=6, q=2, layer=lambda t: {1: swap} if t == 1 else gates)
+        with pytest.raises(ValueError, match=message):
+            evolve(schedule, dimer_sites(6, 2), 3)
+
+    def test_layer_map_checked_before_any_svd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ckt, "_svd_cut", lambda m: calls.append(m))
+        schedule = types.SimpleNamespace(L=6, q=2, layer=lambda t: {0: None, 6: None})
+        with pytest.raises(ValueError, match="layer 1 gates bonds"):
+            evolve(schedule, dimer_sites(6, 2), 1)
+        assert not calls
+
+
+class TestGatedBondsOnly:
+    @pytest.mark.parametrize("q, L, T", [(2, 12, 12), (3, 8, 8)])
+    def test_ungated_bonds_keep_their_entropy_bit_for_bit(self, q, L, T):
+        for parity in ("even", "odd"):
+            circ = haar_brickwork(q, L, seed=3, parity=parity)
+            for sites in (product_sites(L, q), dimer_sites(L, q)):
+                profiles = evolve(circ, sites, T).profiles
+                for t in range(1, T + 1):
+                    for b in set(range(L - 1)) - set(circ.layer(t)):
+                        assert profiles[t, b] == profiles[t - 1, b]
+
+    def test_one_svd_per_gated_bond_and_values_only_at_the_last_layer(self, monkeypatch):
+        q, L, T = 2, 10, 6
+        circ = haar_brickwork(q, L, seed=5)
+        svd, counts = np.linalg.svd, {"svd": 0, "svdvals": 0}
+
+        def counting_svd(a, *args, **kwargs):
+            counts["svd"] += 1
+            return svd(a, *args, **kwargs)
+
+        def counting_svdvals(a):
+            counts["svdvals"] += 1
+            return svd(a, compute_uv=False)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(ckt, "_svdvals", counting_svdvals)
+        evolve(circ, dimer_sites(L, q), T)
+        # the split and the t = 0 sweep take one SVD per cut each
+        assert counts["svd"] == 2 * (L - 1) + sum(len(circ.layer(t)) for t in range(1, T))
+        assert counts["svdvals"] == len(circ.layer(T))
+
+    @pytest.mark.parametrize("values_only", [False, True])
+    def test_layer_decomposes_only_gated_blocks(self, values_only, monkeypatch):
+        # every matrix a layer decomposes is the theta of one of its bonds
+        q, L = 3, 8
+        circ = haar_brickwork(q, L, seed=2)
+        sites = ckt._left_canonical(dimer_sites(L, q))
+        probs = ckt._sweep(sites)
+        svd, shapes = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(ckt, "_svdvals", lambda a: recording_svd(a, compute_uv=False))
+        for t in range(1, 5):
+            gates = circ.layer(t)
+            want = [(sites[b].shape[0] * q, q * sites[b + 1].shape[2]) for b in sorted(gates)]
+            del shapes[:]
+            ckt._layer(sites, probs, gates, values_only=values_only)
+            assert shapes == want
+            if values_only:
+                break
 
 
 def planted_record(q: int, L: int, T: int, t0: int, bumps=()) -> EntanglementRecord:

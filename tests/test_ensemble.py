@@ -267,6 +267,23 @@ class TestEpsDeltaScan:
         assert pts[1].delta > 0
         assert pts[1].dist_to_projection is None
 
+    @pytest.mark.parametrize("base", [swap_gate(2), fourier_gate(3)], ids=["q2", "q3"])
+    def test_one_eigh_of_the_direction_per_scan(self, base, monkeypatch):
+        # h is decomposed once per scan, not once per theta; at q = 2 the snap
+        # to the nearest dual gate takes its own eigh of other matrices
+        h = random_hermitian_direction(base.q ** 2, 6)
+        eigh, args = np.linalg.eigh, []
+
+        def recording_eigh(a, *rest, **kwargs):
+            args.append(a)
+            return eigh(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        eps_delta_scan(base, np.logspace(-3, -1, 5), seed=6)
+        assert sum(np.array_equal(a, h) for a in args) == 1
+        if base.q == 3:
+            assert len(args) == 1
+
     def test_direction_normalized(self):
         h = random_hermitian_direction(4, 3)
         assert np.linalg.norm(h, 2) == pytest.approx(1.0, abs=1e-12)

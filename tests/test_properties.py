@@ -24,6 +24,7 @@ from dulab.circuit import (
     zigzag_check,
 )
 from dulab.ensemble import NOISE_FLOOR, eps_delta_scan, random_hermitian_direction
+from dulab import circuit as ckt
 from dulab import gates
 from dulab.gates import (
     CHAMBER_WALL,
@@ -371,11 +372,29 @@ ORACLE_SIZES = tuple((q, L) for q in (2, 3) for L in range(4, 13, 2))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
-@given(brickworks(ORACLE_SIZES), st.integers(1, 4), seeds)
+@given(brickworks(ORACLE_SIZES), st.integers(1, 8), seeds)
 def test_mps_evolve_matches_dense_oracle(circuit, T, seed):
     state = random_pure((circuit.q,) * circuit.L, seed=seed)
     want = dense_evolve(circuit, state, T)
     assert np.abs(evolve(circuit, chain_sites(state), T).profiles - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q, L, T", [(2, 12, 12), (3, 8, 8)])
+@pytest.mark.parametrize("start", ["product", "dimer", "random"])
+def test_chain_stays_right_canonical_after_every_layer(q, L, T, start):
+    # every layer but the last forms site tensors; each must stay an isometry
+    # from its left bond, site 0 holding the unit norm
+    circuit = BrickworkCircuit(L=L, q=q, gate=haar_gate(q, 1),
+                               bond_gates={b: haar_gate(q, 10 + b) for b in range(L - 1)})
+    sites = {"product": product_sites(L, q), "dimer": dimer_sites(L, q),
+             "random": chain_sites(random_pure((q,) * L, seed=L))}[start]
+    sites = ckt._left_canonical(sites)
+    probs = ckt._sweep(sites)
+    for t in range(1, T):
+        ckt._layer(sites, probs, circuit.layer(t), values_only=False)
+        for a in sites:
+            gram = np.einsum("lir,mir->lm", a, a.conj())
+            assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12, (t, a.shape)
 
 
 def planted_state(q: int, L: int, cut: int, small, seed: int) -> PureState:
