@@ -30,10 +30,10 @@ from .qinfo import (
     apply_unitary,
     bell_state,
     entropy_from_probs,
-    fidelity,
     marginal_probs,
     purify,
     reduce,
+    trace_norm,
     trace_norm_distance,
     uhlmann_align,
 )
@@ -486,18 +486,18 @@ def four_party_report(u: Gate, state: PureState) -> FourPartyReport:
 
     delta_S = S["ABp"] - S["AB"]
     eps = 2 * math.log(q) - delta_S
-    dA, dD = state.dims[0], state.dims[3]
-
-    f_out = fidelity(
-        reduce(out, {0, 1}),
-        DensityMatrix(np.kron(reduce(state, {0}).matrix, np.eye(q) / q), (dA, q), validate=False),
-    )
-    f_in = fidelity(
-        reduce(state, {1, 2, 3}),
-        DensityMatrix(np.kron(np.eye(q) / q, reduce(state, {2, 3}).matrix), (q, q, dD),
-                      validate=False),
-    )
-    # F(rho, I/d) = tr sqrt(rho) / sqrt(d), held to [0, 1] like ``fidelity``
+    # Uhlmann: F(M M+, N N+) = ||M+ N||_1, held to [0, 1] like ``fidelity``.
+    # F_in: M = psi as (BCD x A), N = 1_B (x) (psi as (CD x AB)) / sqrt q, and
+    # M+ N is the Gram matrix of psi as (AB x CD), regrouped to dA x (q dA q).
+    # F_out: M = out as (AB' x C'D), N = (R+ (x) 1_q) / sqrt q, where the QR of
+    # (psi as A x BCD)+ gives R+ R = rho_A; N+ M has the same norm.  F_BC:
+    # N = 1 / q, so F = tr sqrt(rho_BC) / q from the BC spectrum.
+    dA = state.dims[0]
+    psi = state.amplitudes.reshape(dA * q, -1)
+    f_in = min(1.0, trace_norm((psi.conj() @ psi.T).reshape(dA, -1)) / math.sqrt(q))
+    r = np.linalg.qr(psi.reshape(dA, -1).conj().T, mode="r")
+    f_out = min(1.0, trace_norm((r @ out.amplitudes.reshape(dA, -1)).reshape(len(r) * q, -1))
+                / math.sqrt(q))
     f_bc = float(min(1.0, np.sqrt(probs["BC"]).sum() / q))
 
     return FourPartyReport(

@@ -49,6 +49,13 @@ NAMED_GATES = {
 }
 
 
+def _check_gate_size(q: int) -> None:
+    """Refuse a two-qudit gate, q^4 amplitudes, over the amplitude budget."""
+    cap = ckt.max_amplitudes()
+    if q ** 4 > cap:
+        raise ckt._over_budget(f"--q {q}: a two-qudit gate", q ** 4, cap)
+
+
 def load_gate(name_or_path: str, q: int, J: float, b: float, h: float) -> gates.Gate:
     """Resolve a named gate or a gate file path."""
     build = NAMED_GATES.get(name_or_path.lower())
@@ -320,6 +327,7 @@ def _cmd_catalan(args):
 
 
 def _cmd_audit_gate(args):
+    _check_gate_size(args.q)
     g = load_gate(args.gate, args.q, args.J, args.b, args.h)
     rep = gates.defects(g)
     state = kron_states(bell_state(args.q), bell_state(args.q))
@@ -342,6 +350,7 @@ def _cmd_audit_gate(args):
 
 
 def _cmd_project_dual(args):
+    _check_gate_size(args.q)
     if args.gate == "haar":
         if args.seed is None:
             raise ValueError("--gate haar requires --seed")
@@ -375,6 +384,7 @@ def _cmd_scan_eps_delta(args):
     if args.theta_min >= args.theta_max:
         raise ValueError(f"--theta-min {args.theta_min!r} must be below "
                          f"--theta-max {args.theta_max!r}")
+    _check_gate_size(args.q)
     base = load_gate(args.base, args.q, args.J, args.b, args.h)
     thetas = [0.0] + list(np.logspace(math.log10(args.theta_min),
                                       math.log10(args.theta_max), args.points))

@@ -297,11 +297,14 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
+    """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1], as the
+    nuclear norm ||sqrt(rho) sqrt(sigma)||_1 of dense square roots.
 
-    Evaluated as the nuclear norm ||sqrt(rho) sqrt(sigma)||_1, which is the
-    same quantity without the sqrt amplification of eigenvalue noise near
-    zero (keeps the result symmetric in its arguments to ~1e-12).
+    The dense oracle: exact to rounding when both arguments are full rank.
+    A rank-deficient argument's noise eigenvalues, near 1e-17, have square
+    roots near 3e-9, so the result can be off by about 1e-8.  Given factors
+    rho = M M+ and sigma = N N+, ||M+ N||_1 is the same fidelity with no
+    square root; ``circuit.four_party_report`` takes F_in and F_out so.
     """
     _check_same_dims(rho, sigma)
     return min(1.0, trace_norm(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix)))

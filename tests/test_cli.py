@@ -247,23 +247,56 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert "DULAB_MAX_AMPLITUDES must be a positive integer" in capsys.readouterr().err
 
+    #: the gate commands at q = 4, whose two-qudit gate holds 4^4 = 256 amplitudes
+    GATE_COMMANDS = [
+        ["audit-gate", "--gate", "swap", "--q", "4"],
+        ["project-dual", "--gate", "haar", "--q", "4", "--seed", "1"],
+        ["scan-eps-delta", "--base", "swap", "--q", "4", "--seed", "1"],
+    ]
+
     @pytest.mark.parametrize("argv", [
         ["zigzag", "--q", "2", "--L", "12", "--steps", "4", "--gate", "swap"],
         ["mps", "--seed", "5"],
+        *GATE_COMMANDS,
     ])
     def test_amplitude_budget_exceeded_exits_2(self, argv, monkeypatch, tmp_path, capsys):
         # the budget counts site-tensor entries: the zigzag site tensors
         # outgrow 100 within the first layers, and the mps chain of one
-        # q = chi = 2 cell between its environment legs holds 40
-        budget = {"zigzag": "100", "mps": "39"}[argv[0]]
+        # q = chi = 2 cell between its environment legs holds 40; a gate
+        # command refuses its gate before building it
+        budget = {"zigzag": "100", "mps": "39"}.get(argv[0], "255")
         monkeypatch.setenv("DULAB_MAX_AMPLITUDES", budget)
         out = tmp_path / "out.json"
         with pytest.raises(SystemExit) as e:
             run(argv + ["--out", str(out)])
         assert e.value.code == 2
-        assert (f"exceeds the budget {budget} (override via DULAB_MAX_AMPLITUDES)"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert f"exceeds the budget {budget} (override via DULAB_MAX_AMPLITUDES)" in err
+        if budget == "255":
+            assert "--q 4: a two-qudit gate of 256 amplitudes exceeds the budget 255" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", GATE_COMMANDS)
+    def test_gate_at_the_budget_runs(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("DULAB_MAX_AMPLITUDES", "256")
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("command", ["audit-gate --gate swap", "project-dual --seed 1",
+                                         "scan-eps-delta --seed 1"])
+    def test_oversize_gate_refused_before_it_is_built(self, command, monkeypatch, capsys):
+        # 300^4 amplitudes, 130 GB of complex entries, against the default
+        # budget; a run that reached a gate builder would fail here, not allocate
+        monkeypatch.delenv("DULAB_MAX_AMPLITUDES", raising=False)
+
+        def build(*args):
+            raise AssertionError("the gate was built")
+        monkeypatch.setattr("dulab.cli.load_gate", build)
+        monkeypatch.setattr("dulab.gates.haar_gate", build)
+        with pytest.raises(SystemExit) as e:
+            run(command.split() + ["--q", "300"])
+        assert e.value.code == 2
+        assert ("--q 300: a two-qudit gate of 8100000000 amplitudes exceeds the budget "
+                "67108864" in capsys.readouterr().err)
 
     def test_two_site_block_is_checked_before_it_is_formed(self, monkeypatch, tmp_path,
                                                            capsys):
