@@ -23,7 +23,6 @@ import numpy as np
 
 from .gates import Gate
 from .qinfo import (
-    DensityMatrix,
     PureState,
     _one_blas_thread,
     _svdvals,
@@ -34,7 +33,6 @@ from .qinfo import (
     purify,
     reduce,
     trace_norm,
-    trace_norm_distance,
     uhlmann_align,
 )
 
@@ -525,11 +523,11 @@ def reconstruct_distillable(state: PureState):
     """Rebuild the Bell (x) sigma (x) Bell structure of a four-party input.
 
     Purifies I/q into a qudit factor A2 and rho_CD into A1, aligns with a
-    unitary on A, repeats on the D side, and assembles
-    sigma = alpha_{A2 B} (x) sigma_{A1 D1} (x) beta_{C D2}.  Returns
-    (sigma, ||U_D U_A rho U_A+ U_D+ - sigma||_1).  A and D dims must be
-    divisible by q; purifications that do not fit their ancilla factor keep
-    the largest eigenvectors (the achieved distance is what is reported).
+    unitary on A, repeats on the D side, and returns (sigma_{A1 D1},
+    ||U_D U_A rho U_A+ U_D+ - sigma||_1) for sigma = alpha_{A2 B} (x)
+    sigma_{A1 D1} (x) beta_{C D2} with Bell pairs alpha, beta.  A and D dims
+    must be divisible by q; purifications that do not fit their ancilla factor
+    keep the largest eigenvectors (the achieved distance is what is reported).
     """
     if state.n_subsystems != 4:
         raise ValueError(f"state must have exactly 4 parties, got {state.n_subsystems}")
@@ -557,11 +555,13 @@ def reconstruct_distillable(state: PureState):
     u_d, _ = uhlmann_align(psi2, PureState(phi_r, state.dims), {3})
     psi3 = apply_unitary(psi2, u_d, (3,))
 
-    # sigma = alpha_{A2 B} (x) sigma_{A1 D1} (x) beta_{C D2} laid out on
-    # (A1, A2, B, C, D2, D1), with sigma_{A1 D1} = tr_{A2 B} nu
-    sigma_a1d1 = reduce(PureState(nu.amplitudes, (dA1, q * q, dD1)), {0, 2}).matrix
-    bell_rho = bell.density().matrix.reshape(q, q, q, q)
-    sigma = np.einsum("xzyw,abAB,cdCD->xabcdzyABCDw",
-                      sigma_a1d1.reshape(dA1, dD1, dA1, dD1), bell_rho, bell_rho)
-    sigma = DensityMatrix(sigma.reshape(dA * q * q * dD, -1), state.dims, validate=False)
-    return sigma, trace_norm_distance(psi3.density(), sigma)
+    # sigma_{A1 D1} = tr_{A2 B} nu; on (A1, A2 B C D2, D1) sigma lives on the e (x) w
+    # for e in A1 D1 and the real w = alpha (x) beta, and psi3 = sum_e phi_e e (x) w + r.
+    # On them and r / ||r||, psi3 psi3+ - sigma = v v+ - (sigma_{A1 D1} (+) 0) for
+    # v = (phi, ||r||); ||r|| is the residual's norm, as sqrt(1 - ||phi||^2) cancels to ~1e-8.
+    sigma = reduce(PureState(nu.amplitudes, (dA1, q * q, dD1)), {0, 2})
+    w = np.kron(bell.amplitudes, bell.amplitudes)
+    psi = psi3.amplitudes.reshape(dA1, -1, dD1)
+    phi = w @ psi
+    v = np.append(phi, np.linalg.norm(psi - phi[:, None, :] * w[:, None]))
+    return sigma, trace_norm(np.outer(v, v.conj()) - np.pad(sigma.matrix, (0, 1)))

@@ -196,11 +196,6 @@ def perturbation(base: Gate, h: np.ndarray):
     return lambda theta: Gate(base.q, base.matrix @ ((v * np.exp(-1j * theta * lam)) @ vh))
 
 
-def perturbed(base: Gate, theta: float, h: np.ndarray) -> Gate:
-    """base exp(-i theta h), the one gate ``perturbation(base, h)`` gives at theta."""
-    return perturbation(base, h)(theta)
-
-
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary (Ginibre + QR with phase correction,
     Mezzadri, Notices AMS 54, 592 (2007)), C-contiguous.

@@ -29,7 +29,7 @@ from dulab.gates import (
     kicked_ising_first_gate,
     kicked_ising_gate,
     nearest_dual_q2,
-    perturbed,
+    perturbation,
     swap_gate,
 )
 from dulab.qinfo import (
@@ -203,7 +203,7 @@ def test_criterion_7_snap_certificate():
         h = (h + h.conj().T) / 2
         h /= np.linalg.norm(h, 2)
         theta = 10 ** rng.uniform(-3.5, -1.0)
-        g = perturbed(base, theta, h)
+        g = perturbation(base, h)(theta)
         delta_c = 4 * choi_defect(g)  # the un-normalized defect convention
         if not (0 < delta_c <= 0.1):
             continue

@@ -551,29 +551,85 @@ class TestFourPartyReport:
         assert peak <= 16 * state.amplitudes.nbytes
 
 
+def dense_reconstruction_distance(state, monkeypatch):
+    """The dense oracle: assemble sigma = alpha (x) sigma_{A1 D1} (x) beta as an
+    N x N matrix and take ||psi3 psi3+ - sigma||_1, psi3 being the aligned
+    state that ``reconstruct_distillable`` compares with sigma."""
+    aligned = []
+
+    def recording_apply_unitary(*args):
+        aligned.append(qinfo.apply_unitary(*args))
+        return aligned[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(ckt, "apply_unitary", recording_apply_unitary)
+        sigma_a1d1, dist = reconstruct_distillable(state)
+    dA1, dD1 = sigma_a1d1.dims
+    q = state.dims[1]
+    bell_rho = bell_state(q).density().matrix.reshape(q, q, q, q)
+    sigma = np.einsum("xzyw,abAB,cdCD->xabcdzyABCDw",
+                      sigma_a1d1.matrix.reshape(dA1, dD1, dA1, dD1), bell_rho, bell_rho)
+    sigma = qinfo.DensityMatrix(sigma.reshape(len(state.amplitudes), -1), state.dims,
+                                validate=False)
+    return dist, qinfo.trace_norm_distance(aligned[-1].density(), sigma)
+
+
 class TestReconstructDistillable:
     def test_exact_two_bell_input(self):
         state = bell_pair_input()
         sigma, dist = reconstruct_distillable(state)
         assert dist <= 1e-9
 
+    #: worst |support route - dense route| measured: 1.1e-15 over criterion
+    #: 9's 200 states, 1.5e-14 over 40 random states at each shape below
+    #: (the q = 3 shapes; distances there are ~1.85)
+    ROUTE_TOL = 3e-14
+
+    def test_matches_dense_route_on_criterion_9_states(self, monkeypatch):
+        for k in range(0, 200, 10):
+            d = 2 if k % 2 == 0 else 4
+            state = random_pure((d, 2, 2, d), seed=10_000 + k)
+            dist, dense = dense_reconstruction_distance(state, monkeypatch)
+            assert abs(dist - dense) <= self.ROUTE_TOL
+
+    @pytest.mark.parametrize("q,dA,dD", [(2, 4, 4), (2, 4, 6), (3, 6, 6), (2, 8, 4), (3, 9, 3)])
+    def test_matches_dense_route_on_random_states(self, monkeypatch, q, dA, dD):
+        for seed in range(5):
+            state = random_pure((dA, q, q, dD), seed=500 + 10 * seed + q + dA + dD)
+            dist, dense = dense_reconstruction_distance(state, monkeypatch)
+            assert abs(dist - dense) <= self.ROUTE_TOL
+
     @pytest.mark.parametrize("q,dA,dD", [(2, 4, 4), (2, 4, 6), (3, 6, 6)])
     def test_hidden_structure_recovered_in_place(self, q, dA, dD):
         # alpha_{A2 B} (x) |t>_{A1 D1} (x) beta_{C D2} behind Haar unitaries on
-        # A = (A1, A2) and D = (D2, D1): a random |t> pins where sigma puts A1, D1
+        # A = (A1, A2) and D = (D2, D1): sigma_{A1 D1} is |t><t| up to a unitary
+        # on each side, so it is pure with the Schmidt weights of |t> on A1
         dA1, dD1 = dA // q, dD // q
-        t = random_pure((dA1, dD1), seed=dA + dD + q).tensor()
+        t = random_pure((dA1, dD1), seed=dA + dD + q)
         bell = bell_state(q).tensor()
-        v = np.einsum("xw,ab,cd->xabcdw", t, bell, bell).reshape(-1)
+        v = np.einsum("xw,ab,cd->xabcdw", t.tensor(), bell, bell).reshape(-1)
         state = PureState(v, (dA, q, q, dD))
         state = qinfo.apply_unitary(state, haar_unitary(dA, seed=7 * q + dA), (0,))
         state = qinfo.apply_unitary(state, haar_unitary(dD, seed=11 * q + dD), (3,))
         sigma, dist = reconstruct_distillable(state)
-        assert sigma.dims == (dA, q, q, dD)
+        assert sigma.dims == (dA1, dD1)
         assert dist <= 1e-12
-        split = qinfo.DensityMatrix(sigma.matrix, (dA1, q, q, q, q, dD1), validate=False)
-        alpha = reduce(split, {1, 2})
-        assert np.abs(alpha.matrix - bell_state(q).density().matrix).max() <= 1e-12
+        assert abs(np.trace(sigma.matrix @ sigma.matrix).real - 1) <= 1e-12
+        a1 = np.linalg.eigvalsh(reduce(sigma, {0}).matrix)
+        assert np.abs(a1 - marginal_probs(t, {0})).max() <= 1e-12
+
+    def test_peak_memory_is_a_few_states(self):
+        # sigma is read on its support, dA1 dD1 + 1 vectors; a dense N x N
+        # sigma would take N times the state
+        state = bell_pair_input(6, 6, 6)
+        reconstruct_distillable(state)  # LAPACK workspaces are kept per shape
+        tracemalloc.start()
+        try:
+            reconstruct_distillable(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * state.amplitudes.nbytes
 
     def test_bound_on_random_states(self):
         for seed in range(10):

@@ -567,6 +567,13 @@ class TestAuditGate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["is_dual"] is True and doc["choi_defect"] <= 1e-12
 
+    def test_reconstruct_q8_is_exact(self, capsys):
+        # Bell (x) Bell already has the Bell (x) sigma (x) Bell form; a dense
+        # N x N sigma here would take 16.8 million entries (268 MB)
+        code = run(["audit-gate", "--gate", "swap", "--q", "8", "--reconstruct"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["report"]["recon_distance"] <= 1e-14
+
 
 class TestZigzag:
     def test_swap_assert_passes(self, tmp_path, capsys):

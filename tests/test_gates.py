@@ -22,7 +22,7 @@ from dulab.gates import (
     kicked_ising_first_gate,
     kicked_ising_gate,
     nearest_dual_q2,
-    perturbed,
+    perturbation,
     project_dual_iterative,
     read_gate_file,
     reshuffle,
@@ -92,7 +92,7 @@ class TestDefects:
             assert defects(g).gram_defect <= 1e-10
         for _ in range(100):
             h = random_hermitian_unit(4, rng)
-            g = perturbed(swap_gate(2), 0.2, h)
+            g = perturbation(swap_gate(2), h)(0.2)
             m = reshuffle(g.matrix, g.q)
             unitar = trace_norm(m @ m.conj().T - np.eye(4))
             rep = defects(g)
@@ -182,7 +182,7 @@ class TestCartan:
         for base in (identity_gate(2), swap_gate(2), cz_gate(2)):
             for theta in (1e-9, 1e-6, 1e-3):
                 h = random_hermitian_unit(4, rng)
-                g = perturbed(base, theta, h)
+                g = perturbation(base, h)(theta)
                 data = cartan_decompose(g)
                 assert trace_norm(data.reconstruct().matrix - g.matrix) <= 1e-9
 
@@ -236,7 +236,7 @@ class TestNearestDual:
             base = swap_gate(2) if k % 2 else kicked_ising_gate(QUARTER, QUARTER, 0.4)
             h = random_hermitian_unit(4, rng)
             theta = 10 ** rng.uniform(-3, -0.9)
-            g = perturbed(base, theta, h)
+            g = perturbation(base, h)(theta)
             delta_c = 4 * defects(g).choi_defect  # un-normalized convention
             if delta_c > 0.1:
                 continue
@@ -278,7 +278,7 @@ def perturbed_dual_gates(rng, n):
         for _ in range(n):
             h = random_hermitian_unit(d, rng)
             theta = 10 ** rng.uniform(-3, -0.5)
-            out.append(perturbed(base, theta, h))
+            out.append(perturbation(base, h)(theta))
     return out
 
 
@@ -399,18 +399,19 @@ class TestPerturbed:
         base = fourier_gate(q)
         for _ in range(20):
             h = random_hermitian_unit(q * q, rng)
+            gate_at = perturbation(base, h)
             for theta in (1e-3, 1e-2, 0.1, 0.5, 1.0):
                 direct = base.matrix @ scipy.linalg.expm(-1j * theta * h)
-                assert np.abs(perturbed(base, theta, h).matrix - direct).max() <= 1e-14
+                assert np.abs(gate_at(theta).matrix - direct).max() <= 1e-14
 
 
 class TestDualFamilyContinuity:
     def test_defect_vanishes_continuously_at_dual_point(self, rng):
         base = kicked_ising_gate(QUARTER, QUARTER, 0.5)
-        h = random_hermitian_unit(4, rng)
+        gate_at = perturbation(base, random_hermitian_unit(4, rng))
         prev = None
         for theta in (0.1, 0.03, 0.01, 0.003, 0.001, 0.0):
-            g = perturbed(base, theta, h)
+            g = gate_at(theta)
             d = defects(g).choi_defect
             if prev is not None:
                 assert d <= prev + 1e-12  # shrinking theta cannot blow the defect up

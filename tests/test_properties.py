@@ -280,7 +280,7 @@ def log_uniform(lo: float, hi: float):
 
 def perturbed(base: Gate, theta: float, seed: int) -> Gate:
     """The scan's gate base exp(-i theta H) along its direction H from ``seed``."""
-    return gates.perturbed(base, theta, random_hermitian_direction(base.q ** 2, seed))
+    return gates.perturbation(base, random_hermitian_direction(base.q ** 2, seed))(theta)
 
 
 def bell_pairs(q: int) -> PureState:
